@@ -15,11 +15,11 @@
 // serving-workload (KV) counters and answer checksum — and fail on any
 // difference.  Only host-time fields (wall clock, the file
 // timestamp) are excluded: under the deterministic scheduler
-// (internal/sched, the default) every observable, simulated cycles and
-// Copying fault counts included, is a pure function of (workload, P,
+// (internal/sched, the only engine) every observable, simulated cycles
+// and Copying fault counts included, is a pure function of (workload, P,
 // schedule seed) at every P, so two runs of the same configuration must
 // be bit-identical with no carve-outs.  Comparing files recorded under
-// different schedule seeds or with the scheduler disabled is a
+// different schedule seeds (or by an older build's "freerun" mode) is a
 // configuration mismatch, reported before any record is compared.
 //
 //	benchdiff -identical a.json b.json
@@ -27,12 +27,11 @@
 // Speedup gate (-wallgate): print a per-cell wall-clock speedup table
 // (baseline over current — above 1.0 means current is faster) next to
 // the pooled geomean, and fail when the pooled speedup falls below the
-// given floor.  This is the nightly check that the time-parallel
-// executor actually buys wall clock: compare a serial BENCH file against
-// a -par one (the Par field is informational, never a configuration
-// mismatch — parallel runs are observable-identical by construction).
+// given floor.  Use it to show what an engine change buys in wall clock:
+// compare a BENCH file from the old build against one from the new build
+// of the same configuration (check -identical first).
 //
-//	benchdiff -wallgate 1.0 serial.json par.json
+//	benchdiff -wallgate 1.0 before.json after.json
 //
 // Exit status: 0 on pass, 1 on mismatch/regression, 2 on usage errors.
 package main

@@ -9,10 +9,9 @@
 //
 // Usage:
 //
-//	lcmbench [-scale N] [-p N] [-par N] [-blocksize N] [-verify] [-table1]
+//	lcmbench [-scale N] [-p N] [-blocksize N] [-verify] [-table1]
 //	         [-fig2] [-fig3] [-ablate] [-net=uniform|fattree] [-linkbw N]
-//	         [-nilat N] [-netsweep] [-schedseed N] [-freerun]
-//	         [-kvskew S] [-kvreshard N]
+//	         [-nilat N] [-netsweep] [-schedseed N] [-kvskew S] [-kvreshard N]
 //
 // With no selection flags, all experiments run.  -cells selects
 // individual grid cells by name, including the serving-traffic cells
@@ -24,15 +23,11 @@
 // -netsweep runs the contention sensitivity sweep.  Runs are scheduled by
 // the deterministic virtual-time scheduler (internal/sched): every
 // observable, simulated cycles included, is a pure function of the
-// configuration and -schedseed.  -par N executes that same schedule
-// time-parallel on up to N worker threads — observables stay bit-identical
-// to the serial run (assert with benchdiff -identical); only wall clock
-// changes.  -freerun instead restores host-scheduled goroutine
-// interleaving for wall-clock parallelism measurements.  -chaos runs the
-// fault-injection campaign instead: every workload under every memory
-// system with seeded faults, asserting answers bit-identical to the
-// fault-free runs and recovery counters matching the injected plans; the
-// exit status reports the verdict.  -recovery runs the crash-recovery
+// configuration and -schedseed.  -chaos runs the fault-injection
+// campaign instead: every workload under every memory system with seeded
+// faults, asserting answers bit-identical to the fault-free runs and
+// recovery counters matching the injected plans; the exit status reports
+// the verdict.  -recovery runs the crash-recovery
 // matrix: node kills restarting from barrier checkpoints, sustained
 // message loss survived by retransmission, and kill storms past the
 // restart budget forcing degraded-mode re-homing, each cell asserting
@@ -88,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 1, "divide problem sizes by this factor (1 = paper scale)")
 	p := fs.Int("p", 32, "number of simulated processors")
-	par := fs.Int("par", 0, "time-parallel worker threads for the deterministic schedule (0/1 = serial; observables stay bit-identical to serial)")
 	blockSize := fs.Int("blocksize", 0, "coherence block size in bytes (0 = paper default of 32; power of two, at most 256)")
 	verify := fs.Bool("verify", false, "check results against sequential references (slower)")
 	table1 := fs.Bool("table1", false, "run only Table 1 benchmarks")
@@ -103,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	niLat := fs.Int64("nilat", 0, "fattree network-interface occupancy in cycles per message end (0 = default)")
 	netSweep := fs.Bool("netsweep", false, "run only the interconnect sensitivity sweep (P x link bandwidth x system over the fat tree)")
 	schedSeed := fs.Uint64("schedseed", 0, "deterministic schedule seed (0 = canonical cycle/node order; other seeds permute same-cycle ties)")
-	freeRun := fs.Bool("freerun", false, "disable the deterministic scheduler and let node goroutines interleave at the host's whim (observables are then not run-to-run reproducible)")
 	cells := fs.String("cells", "", "comma-separated grid cells to run instead of the full grid (e.g. Stencil-static,KV-read); implies -table1")
 	kvSkew := fs.Float64("kvskew", 0, "KV cells' Zipf skew exponent (0 = workload default of 0.99)")
 	kvReshard := fs.Int("kvreshard", 0, "KV cells' reshard cadence in phases (0 = workload default; negative = resharding off)")
@@ -155,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	s := harness.New(stdout)
-	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed, FreeRun: *freeRun, Par: *par}
+	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed}
 	s.Scale = *scale
 	s.KVSkew = *kvSkew
 	s.KVReshard = *kvReshard

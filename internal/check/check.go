@@ -235,7 +235,6 @@ func runOne(cfg Config, o *oracle, path []int) runOut {
 	m.Recovery = cfg.Recovery
 	v := cstar.NewVectorF32(m, "v", cfg.Blocks*slotsPerBlock, cstar.DataPolicy(cfg.System), memsys.Blocked)
 	m.Freeze()
-	m.DetSched = true
 
 	out := runOut{}
 	firstBlock := v.Region().FirstBlock()
@@ -280,10 +279,8 @@ func runOne(cfg Config, o *oracle, path []int) runOut {
 		}
 	})
 
-	if sc := m.Sched(); sc != nil {
-		out.steps = sc.Steps()
-		out.segs = sc.Segments()
-	}
+	out.steps = m.Sched().Steps()
+	out.segs = m.Sched().Segments()
 	if out.vio == nil {
 		out.vio = finalChecks(m, v, o, tb, runErr, readErrs)
 	}

@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,16 +99,6 @@ type nodeState struct {
 	marked []memsys.BlockID
 }
 
-// dirtyRef is one entry of a home's dirty (registered-for-commit) list:
-// the block plus the registering segment's grant key.  Time-parallel
-// segments may register out of serial order; commitLists stably sorts by
-// key, so commit — and with it every network charge it makes — replays
-// the serial order exactly.
-type dirtyRef struct {
-	b   memsys.BlockID
-	key uint64
-}
-
 // ConflictKind distinguishes the two semantic violations LCM can detect.
 type ConflictKind uint8
 
@@ -143,26 +132,20 @@ func (c Conflict) String() string {
 		c.Kind, c.Region, c.Block, c.Elem, c.Writers, c.Readers)
 }
 
-// conflictLog collects detected violations; guarded by its own mutex since
-// different block locks may report concurrently.  Each entry carries the
-// reporting segment's grant key so Conflicts can replay the serial
-// insertion order even when time-parallel segments report out of order.
+// conflictLog collects detected violations in detection order, which the
+// deterministic scheduler makes the serial grant order; guarded by its own
+// mutex since different block locks may report.
 type conflictLog struct {
 	mu    sync.Mutex
-	list  []keyedConflict
+	list  []Conflict
 	limit int
 }
 
-type keyedConflict struct {
-	c   Conflict
-	key uint64
-}
-
-func (cl *conflictLog) add(c Conflict, key uint64) {
+func (cl *conflictLog) add(c Conflict) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.limit == 0 || len(cl.list) < cl.limit {
-		cl.list = append(cl.list, keyedConflict{c: c, key: key})
+		cl.list = append(cl.list, c)
 	}
 }
 
@@ -191,7 +174,7 @@ type LCM struct {
 	entries []entry
 	phase   atomic.Uint32
 
-	dirty   [][]dirtyRef
+	dirty   [][]memsys.BlockID
 	dirtyMu []sync.Mutex
 
 	conflicts conflictLog
@@ -227,16 +210,7 @@ func (p *LCM) DrainToHome() { p.coherent.DrainToHome() }
 func (p *LCM) Conflicts() []Conflict {
 	p.conflicts.mu.Lock()
 	defer p.conflicts.mu.Unlock()
-	keyed := make([]keyedConflict, len(p.conflicts.list))
-	copy(keyed, p.conflicts.list)
-	// Serial runs insert in nondecreasing key order, so the sort is the
-	// identity there; parallel runs are restored to the same order.
-	sort.SliceStable(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
-	out := make([]Conflict, len(keyed))
-	for i, k := range keyed {
-		out[i] = k.c
-	}
-	return out
+	return append([]Conflict(nil), p.conflicts.list...)
 }
 
 // Attach implements tempest.Protocol.
@@ -263,7 +237,7 @@ func (p *LCM) Attach(m *tempest.Machine) {
 			e.writers = ar.Make()
 		}
 	}
-	p.dirty = make([][]dirtyRef, m.P)
+	p.dirty = make([][]memsys.BlockID, m.P)
 	p.dirtyMu = make([]sync.Mutex, m.P)
 	p.phase.Store(1)
 	for _, n := range m.Nodes {
@@ -327,7 +301,7 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	}
 	home := p.m.AS.HomeOf(b)
 	ph := p.phase.Load()
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	p.m.Lock(b)
 	defer p.m.Unlock(b)
 	// The home image is not updated until reconciliation commits, so it
@@ -395,7 +369,7 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	}
 
 	home := p.m.AS.HomeOf(b)
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	p.m.Lock(b)
 	defer p.m.Unlock(b)
 	e := p.phaseEntry(b, ph)
@@ -416,7 +390,7 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	if !e.registered {
 		e.registered = true
 		p.dirtyMu[home].Lock()
-		p.dirty[home] = append(p.dirty[home], dirtyRef{b: b, key: n.GrantKey()})
+		p.dirty[home] = append(p.dirty[home], b)
 		p.dirtyMu[home].Unlock()
 	}
 
@@ -491,9 +465,7 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	home := p.m.AS.HomeOf(b)
 	c := p.m.Cost
 
-	// Every post-yield path charges at least a local fill or a network
-	// flush, so the full fault floor holds (the no-pending path panics).
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	p.m.Lock(b)
 	e := &p.entries[b]
 	if !e.hasPending || e.gen != p.phase.Load() {
@@ -610,7 +582,7 @@ func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.R
 			p.conflicts.add(Conflict{
 				Kind: WriteWrite, Block: b, Elem: int(idx),
 				Region: r.Name, Writers: writers,
-			}, n.GrantKey())
+			})
 		}
 	}
 	e.written |= 1 << idx
@@ -633,7 +605,7 @@ func (p *LCM) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	if l.Tag() == tempest.TagPrivate {
 		return false
 	}
-	n.SchedYieldEvict(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	p.m.Lock(b)
 	defer p.m.Unlock(b)
 	p.entries[b].sharers.Remove(n.ID)
@@ -706,12 +678,8 @@ func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 	list := p.dirty[home]
 	p.dirty[home] = list[:0]
 	p.dirtyMu[home].Unlock()
-	// Replay registrations in serial grant order (identity on serial
-	// runs, where appends already happen in grant order).
-	sort.SliceStable(list, func(i, j int) bool { return list[i].key < list[j].key })
 
-	for _, ref := range list {
-		b := ref.b
+	for _, b := range list {
 		e := &p.entries[b]
 		if e.gen != ph || !e.registered {
 			continue
@@ -731,7 +699,7 @@ func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 				p.conflicts.add(Conflict{
 					Kind: ReadWrite, Block: b, Region: r.Name,
 					Writers: e.writers.Clone(), Readers: pureReaders,
-				}, n.GrantKey())
+				})
 			}
 			p.invalidateOutstanding(n, b, e, r, ph)
 		}

@@ -81,20 +81,13 @@ type BenchFile struct {
 	Scale int `json:"scale"`
 	// Net names the interconnect model the records ran under.
 	Net string `json:"net,omitempty"`
-	// Scheduler records how node interleaving was resolved: "det" for the
-	// deterministic virtual-time scheduler (the default; SchedSeed selects
-	// the schedule) or "freerun" for host-scheduled goroutines.  Records
-	// from different schedules are not comparable observable-for-
-	// observable, so benchdiff refuses to diff across a mismatch.
-	Scheduler string `json:"scheduler,omitempty"`
-	SchedSeed uint64 `json:"sched_seed,omitempty"`
-	// Par records the time-parallel worker count the campaign ran with
-	// (0/1 = serial).  It is informational: parallel runs are bit-
-	// identical to serial ones, so benchdiff does not treat a Par
-	// mismatch as a configuration mismatch — that identity is exactly
-	// what the parallel-determinism CI job asserts.
-	Par     int           `json:"par,omitempty"`
-	Records []BenchRecord `json:"records"`
+	// Scheduler records how node interleaving was resolved.  It is always
+	// "det", the deterministic virtual-time scheduler (SchedSeed selects
+	// the schedule); files from older builds may say "freerun", and
+	// benchdiff refuses to diff across a mismatch.
+	Scheduler string        `json:"scheduler,omitempty"`
+	SchedSeed uint64        `json:"sched_seed,omitempty"`
+	Records   []BenchRecord `json:"records"`
 }
 
 // benchSchema names the record layout; bump when fields change meaning.
@@ -105,18 +98,11 @@ const benchSchema = "lcmbench/2"
 // configuration.
 func benchFile(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) BenchFile {
 	bf := BenchFile{
-		Schema: benchSchema,
-		P:      cfg.P,
-		Scale:  scale,
-	}
-	if cfg.FreeRun {
-		bf.Scheduler = "freerun"
-	} else {
-		bf.Scheduler = "det"
-		bf.SchedSeed = cfg.SchedSeed
-		if cfg.Par > 1 {
-			bf.Par = cfg.Par
-		}
+		Schema:    benchSchema,
+		P:         cfg.P,
+		Scale:     scale,
+		Scheduler: "det",
+		SchedSeed: cfg.SchedSeed,
 	}
 	for _, row := range rows {
 		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
@@ -182,7 +168,6 @@ func WriteJSON(w io.Writer, cfg workloads.Config, scale int, rows []map[cstar.Sy
 // byte-identical output.  The replay tests assert exactly that.
 func MarshalDeterministic(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) ([]byte, error) {
 	bf := benchFile(cfg, scale, rows)
-	bf.Par = 0 // like WallNS, a host-side knob that must not affect bytes
 	for i := range bf.Records {
 		bf.Records[i].WallNS = 0
 	}

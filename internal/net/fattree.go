@@ -232,19 +232,6 @@ func (ft *FatTree) Barrier(node int, c *Counters) {
 	c.Bytes += ft.cfg.HeaderBytes
 }
 
-// MinLatency implements Network.  The cheapest remote operation is a
-// fire-and-forget flush, which charges the sender only network-interface
-// injection: NICycles at zero contention.  Every other operation crosses
-// at least two NIs plus the up/down links of the LCA route, so it costs
-// strictly more; queueing only adds.  NICycles is therefore the min over
-// all LCA routes of the sender-visible latency floor.
-func (ft *FatTree) MinLatency() int64 {
-	if ft.cfg.NICycles < 0 {
-		return 0
-	}
-	return ft.cfg.NICycles
-}
-
 // LinkStats implements Network.
 func (ft *FatTree) LinkStats() LinkStats {
 	ft.mu.Lock()

@@ -155,18 +155,6 @@ type Network interface {
 	// control network, so no data-network cycles are charged; the
 	// synchronization cost itself stays cost.Model.Barrier.
 	Barrier(node int, c *Counters)
-	// MinLatency returns a conservative lower bound, in virtual cycles,
-	// on the charge of any remote operation (RoundTrip, Forward,
-	// Upgrade, Invalidate, Flush) between distinct nodes.  It is the
-	// lookahead window of the time-parallel scheduler (internal/sched):
-	// no node can affect another sooner than this, so nodes whose next
-	// scheduling points are closer together than the bound can run
-	// concurrently without reordering any observable.  Contention only
-	// adds latency, so the zero-contention minimum is a valid bound.  A
-	// model that cannot promise a positive bound (an unreliable network
-	// whose retransmissions restructure charges, say) returns 0, which
-	// disables parallel execution.
-	MinLatency() int64
 	// LinkStats reports occupancy after the machine quiesces.
 	LinkStats() LinkStats
 	// SetLoss attaches a seeded delivery-fault model (nil detaches);

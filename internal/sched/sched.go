@@ -106,7 +106,7 @@ type Scheduler struct {
 	nodes []nodeState
 	seed  uint64
 
-	running  int // node holding the token, -1 if none (serial mode)
+	running  int // node holding the token, -1 if none
 	step     int // grants so far
 	poisoned bool
 	poisonCh chan struct{}
@@ -120,16 +120,6 @@ type Scheduler struct {
 	curSeg int // index into segs of the running segment, -1 if none
 
 	candBuf []Candidate
-
-	// grantStep[n] is the grant step that started node n's current (or
-	// last) segment.  Written under mu at grant time, before the grant
-	// channel send; the owning node reads it via GrantKey after receiving
-	// the grant, so the channel provides the happens-before edge.
-	grantStep []uint64
-
-	// par holds the time-parallel frontier state; nil in serial mode.
-	// Immutable after SetParallel (which must precede Start).
-	par *parState
 }
 
 // New creates a scheduler for n nodes with the given tie-break seed.  All
@@ -137,12 +127,11 @@ type Scheduler struct {
 // goroutines.
 func New(n int, seed uint64) *Scheduler {
 	s := &Scheduler{
-		nodes:     make([]nodeState, n),
-		seed:      seed,
-		running:   -1,
-		poisonCh:  make(chan struct{}),
-		curSeg:    -1,
-		grantStep: make([]uint64, n),
+		nodes:    make([]nodeState, n),
+		seed:     seed,
+		running:  -1,
+		poisonCh: make(chan struct{}),
+		curSeg:   -1,
 	}
 	for i := range s.nodes {
 		s.nodes[i] = nodeState{state: Ready, gate: make(chan struct{}, 1)}
@@ -171,11 +160,7 @@ func (s *Scheduler) EnableRecording() { s.record = true }
 // node goroutines call AwaitGrant.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
-	if s.par != nil {
-		s.admitLocked()
-	} else {
-		s.dispatch()
-	}
+	s.dispatch()
 	s.mu.Unlock()
 }
 
@@ -190,16 +175,8 @@ func (s *Scheduler) AwaitGrant(node int) {
 }
 
 // Yield is a scheduling point: the running node offers the token at the
-// given virtual clock and waits to be granted again.  The next segment is
-// assumed to be a fence (maximally conservative) in parallel mode; use
-// YieldIntent to declare a cheaper intent.
+// given virtual clock and waits to be granted again.
 func (s *Scheduler) Yield(node int, clock int64) {
-	s.YieldIntent(node, clock, Intent{})
-}
-
-// YieldIntent is Yield with a declared intent describing the node's next
-// segment (parallel mode; the intent is ignored by the serial token).
-func (s *Scheduler) YieldIntent(node int, clock int64, it Intent) {
 	s.mu.Lock()
 	if s.poisoned {
 		s.mu.Unlock()
@@ -210,19 +187,36 @@ func (s *Scheduler) YieldIntent(node int, clock int64, it Intent) {
 	ns.clock = clock
 	ns.seq++
 	s.endSegment(node)
-	if s.par != nil {
-		s.par.cur[node] = it
-		s.leaveFrontierLocked(node)
-		s.admitLocked()
-	} else {
-		if s.running == node {
-			s.running = -1
-		}
-		s.dispatch()
+	if s.running == node {
+		s.running = -1
 	}
+	s.dispatch()
 	s.mu.Unlock()
 	s.AwaitGrant(node)
 }
+
+// IntentCompute is the one Intent kind still named: a segment that runs
+// no protocol handler before its next scheduling point.
+//
+// Deprecated: intents described segments to the removed time-parallel
+// scheduler; the serial token ignores them.  Kept only because the
+// perfbench module's grant driver still passes one to YieldIntent.
+const IntentCompute = 1
+
+// Intent described a node's next segment to the time-parallel scheduler.
+//
+// Deprecated: the time-parallel scheduler was removed and the serial
+// token ignores intents.  Kept only because the perfbench module's grant
+// driver still passes one to YieldIntent.
+type Intent struct {
+	Kind uint8
+}
+
+// YieldIntent is Yield; the intent is ignored.
+//
+// Deprecated: use Yield.  Kept only because the perfbench module's grant
+// driver still calls it.
+func (s *Scheduler) YieldIntent(node int, clock int64, _ Intent) { s.Yield(node, clock) }
 
 // Block transitions the running node to Blocked and passes the token on.
 // The caller then parks on its own condition (e.g. a barrier's cond) and,
@@ -239,16 +233,10 @@ func (s *Scheduler) Block(node int) {
 	ns.state = Blocked
 	ns.seq++
 	s.endSegment(node)
-	if s.par != nil {
-		s.par.cur[node] = Intent{} // wake as a fence unless overridden
-		s.leaveFrontierLocked(node)
-		s.admitLocked()
-	} else {
-		if s.running == node {
-			s.running = -1
-		}
-		s.dispatch()
+	if s.running == node {
+		s.running = -1
 	}
+	s.dispatch()
 	s.mu.Unlock()
 }
 
@@ -268,17 +256,6 @@ func (s *Scheduler) SetReadyAt(node int, clock int64) {
 	s.mu.Unlock()
 }
 
-// SetReadyIntent is SetReadyAt with a declared intent for the woken
-// node's next segment (parallel mode; ignored by the serial token).
-func (s *Scheduler) SetReadyIntent(node int, clock int64, it Intent) {
-	s.mu.Lock()
-	if s.par != nil && s.nodes[node].state == Blocked {
-		s.par.cur[node] = it
-	}
-	s.setReadyLocked(node, clock)
-	s.mu.Unlock()
-}
-
 func (s *Scheduler) setReadyLocked(node int, clock int64) {
 	if s.poisoned {
 		return
@@ -290,10 +267,6 @@ func (s *Scheduler) setReadyLocked(node int, clock int64) {
 	ns.state = Ready
 	ns.clock = clock
 	ns.seq++
-	if s.par != nil {
-		s.admitLocked()
-		return
-	}
 	if s.running == -1 {
 		s.dispatch()
 	}
@@ -309,14 +282,6 @@ func (s *Scheduler) Exit(node int) {
 	}
 	s.nodes[node].state = Done
 	s.endSegment(node)
-	if s.par != nil {
-		s.leaveFrontierLocked(node)
-		if !s.poisoned {
-			s.admitLocked()
-		}
-		s.mu.Unlock()
-		return
-	}
 	if s.running == node {
 		s.running = -1
 	}
@@ -335,9 +300,6 @@ func (s *Scheduler) Poison() {
 	if !s.poisoned {
 		s.poisoned = true
 		close(s.poisonCh)
-		if s.par != nil {
-			s.par.netCond.Broadcast()
-		}
 	}
 	s.mu.Unlock()
 }
@@ -422,7 +384,7 @@ func (s *Scheduler) dispatch() {
 			s.fireDeadlockLocked(blocked)
 			return
 		}
-		s.grantSerial(best)
+		s.grant(best)
 		return
 	}
 	cands := s.candBuf[:0]
@@ -452,15 +414,14 @@ func (s *Scheduler) dispatch() {
 			panic(fmt.Sprintf("sched: chooser returned %d of %d candidates", idx, len(cands)))
 		}
 	}
-	s.grantSerial(cands[idx].Node)
+	s.grant(cands[idx].Node)
 }
 
-// grantSerial moves the token to node.  Caller holds s.mu.
-func (s *Scheduler) grantSerial(node int) {
+// grant moves the token to node.  Caller holds s.mu.
+func (s *Scheduler) grant(node int) {
 	ns := &s.nodes[node]
 	ns.state = Running
 	s.running = node
-	s.grantStep[node] = uint64(s.step)
 	s.step++
 	if s.record {
 		s.segs = append(s.segs, Segment{Node: node, Step: s.step - 1})
@@ -479,14 +440,6 @@ func (s *Scheduler) fireDeadlockLocked(blocked bool) {
 	}
 }
 
-// GrantKey returns the grant step that started node's current segment,
-// establishing the canonical position of the segment's side effects in
-// the serial order.  It is written under the scheduler lock before the
-// grant is delivered and read by the granted node during its segment, so
-// the grant channel orders the accesses.  Deterministic in both serial
-// and parallel modes, and identical between them.
-func (s *Scheduler) GrantKey(node int) uint64 { return s.grantStep[node] }
-
 // endSegment closes the running segment, if any.  Caller holds s.mu.
 func (s *Scheduler) endSegment(node int) {
 	if s.record && s.curSeg >= 0 && s.segs[s.curSeg].Node == node {
@@ -495,8 +448,8 @@ func (s *Scheduler) endSegment(node int) {
 }
 
 // Order is the run queue's strict total order over candidates.  The
-// exact comparison, which the time-parallel merge depends on and which
-// the table test in sched_test.go pins for a fixed seed, is:
+// exact comparison, which the table test in sched_test.go pins for a
+// fixed seed, is:
 //
 //  1. Clock, ascending: earlier virtual time runs first.
 //  2. If the seed is non-zero and the candidates' clocks tie: mix(seed,
@@ -509,11 +462,6 @@ func (s *Scheduler) endSegment(node int) {
 //  4. Seq, ascending — unreachable between two live candidates (a node
 //     appears at most once in the Ready set) but kept so Order is total
 //     over arbitrary Candidate values, which the fuzz test checks.
-//
-// Consequence used by the parallel admitter: if a.Clock > b.Clock then b
-// precedes a regardless of seed, node, or seq — a running node whose
-// future scheduling points all land strictly after a candidate's clock
-// can never overtake that candidate in the serial order.
 func Order(seed uint64, a, b Candidate) bool {
 	if a.Clock != b.Clock {
 		return a.Clock < b.Clock

@@ -283,3 +283,75 @@ func TestPoisonGuards(t *testing.T) {
 	s.SetReadyAt(0, 5)
 	s.Exit(0)
 }
+
+// TestOrderPinned pins the exact total order for a fixed candidate set
+// under fixed seeds.  The doc comment on Order specifies the comparison
+// (clock, then seeded mix, then node, then seq); every recorded schedule
+// and the BENCH seed file lean on that exact order, so any change to the
+// hash or the tie-break sequence must show up here as a deliberate golden
+// update.
+func TestOrderPinned(t *testing.T) {
+	cands := []Candidate{
+		{Node: 0, Clock: 100, Seq: 3},
+		{Node: 1, Clock: 100, Seq: 3},
+		{Node: 2, Clock: 100, Seq: 3},
+		{Node: 3, Clock: 100, Seq: 3},
+		{Node: 4, Clock: 100, Seq: 5},
+		{Node: 5, Clock: 40, Seq: 1},
+		{Node: 6, Clock: 250, Seq: 9},
+		{Node: 7, Clock: 100, Seq: 4},
+	}
+	want := map[uint64][]int{
+		// Seed 0: clock ascending, same-clock ties by node ID.
+		0: {5, 0, 1, 2, 3, 4, 7, 6},
+		// Non-zero seeds permute only the same-clock ties (nodes 0-4, 7);
+		// clock extremes stay pinned at the ends.
+		42:         {5, 2, 4, 0, 3, 7, 1, 6},
+		0xdeadbeef: {5, 0, 1, 7, 3, 2, 4, 6},
+	}
+	for seed, w := range want {
+		got := make([]Candidate, len(cands))
+		copy(got, cands)
+		// Insertion sort via Order keeps the test free of sort-stability
+		// assumptions: Order is a strict total order on this set.
+		for i := 1; i < len(got); i++ {
+			for j := i; j > 0 && Order(seed, got[j], got[j-1]); j-- {
+				got[j], got[j-1] = got[j-1], got[j]
+			}
+		}
+		for i := range w {
+			if got[i].Node != w[i] {
+				ids := make([]int, len(got))
+				for k, c := range got {
+					ids[k] = c.Node
+				}
+				t.Errorf("seed %d: position %d is node %d, want %d (full order %v)",
+					seed, i, got[i].Node, w[i], ids)
+				break
+			}
+		}
+	}
+	// A later clock loses to an earlier one regardless of seed, node, or
+	// seq: virtual time always dominates the tie-breaks.
+	a := Candidate{Node: 0, Clock: 101, Seq: 0}
+	b := Candidate{Node: 63, Clock: 100, Seq: 1 << 40}
+	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
+		if Order(seed, a, b) || !Order(seed, b, a) {
+			t.Errorf("seed %d: clock must dominate every tie-break", seed)
+		}
+	}
+}
+
+// TestYieldIntentIsYield: the deprecated intent-carrying form is a plain
+// scheduling point — the intent changes nothing.
+func TestYieldIntentIsYield(t *testing.T) {
+	s := New(1, 0)
+	s.Start()
+	s.AwaitGrant(0)
+	s.YieldIntent(0, 5, Intent{Kind: IntentCompute})
+	s.Yield(0, 9)
+	s.Exit(0)
+	if got := s.Steps(); got != 3 {
+		t.Fatalf("steps = %d, want 3 (initial grant + one per yield)", got)
+	}
+}

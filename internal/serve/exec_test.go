@@ -48,10 +48,6 @@ func TestBuildConfigNetSelection(t *testing.T) {
 	if cfg.Net == nil || cfg.Net.Model != "fattree" || cfg.Net.CyclesPerByte != 8 || cfg.Net.NICycles != 100 {
 		t.Errorf("fattree spec built net config %+v", cfg.Net)
 	}
-	sp = normalized(t, JobSpec{Kind: "grid", P: 8, Scale: 16, Scheduler: "freerun"})
-	if cfg := buildConfig(sp); !cfg.FreeRun {
-		t.Errorf("freerun spec did not set Config.FreeRun")
-	}
 }
 
 func TestRunCheckExhaustsAndRejects(t *testing.T) {
@@ -115,6 +111,9 @@ func TestNormalizeBoundsChecks(t *testing.T) {
 	for _, sp := range []JobSpec{
 		{Kind: "grid", P: -1},
 		{Kind: "grid", Par: -2},
+		{Kind: "grid", Par: 4},
+		{Kind: "grid", Scheduler: "freerun"},
+		{Kind: "grid", Scheduler: "bogus"},
 		{Kind: "check", Blocks: 5},
 		{Kind: "check", MaxSchedules: 0, Nodes: 3, Blocks: 4, Protocol: "bogus"},
 	} {

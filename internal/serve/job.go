@@ -55,7 +55,7 @@ type Event struct {
 type Job struct {
 	ID   string
 	Spec JobSpec
-	// Key is the result's content address ("" when uncacheable).
+	// Key is the result's content address.
 	Key string
 
 	mu     sync.Mutex
@@ -64,7 +64,7 @@ type Job struct {
 	events []Event
 	body   []byte
 	ctype  string
-	cache  string // "hit" | "miss" | "" (uncacheable)
+	cache  string // "hit" | "miss"
 	errMsg string
 	wall   time.Duration
 	done   chan struct{}
@@ -80,11 +80,16 @@ func newJob(id string, spec JobSpec, key string) *Job {
 // publish appends ev to the log (stamping Seq and Job) and wakes readers.
 func (j *Job) publish(ev Event) {
 	j.mu.Lock()
+	j.appendLocked(ev)
+	j.mu.Unlock()
+}
+
+// appendLocked is publish with j.mu already held.
+func (j *Job) appendLocked(ev Event) {
 	ev.Seq = len(j.events)
 	ev.Job = j.ID
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
-	j.mu.Unlock()
 }
 
 // State returns the current lifecycle state.
@@ -121,13 +126,16 @@ func (j *Job) terminate(state State, ev Event, body []byte, ctype, errMsg string
 	j.ctype = ctype
 	j.errMsg = errMsg
 	j.wall = wall
+	// Append the terminal event in the same critical section that makes
+	// the state terminal: a reader in eventsFrom must never observe the
+	// terminal state before the event that ends the stream.
+	j.appendLocked(ev)
 	j.mu.Unlock()
-	j.publish(ev)
 	close(j.done)
 }
 
 // finish completes the job successfully with its result bytes.  cache is
-// "hit", "miss" or "" (uncacheable spec).
+// "hit" or "miss".
 func (j *Job) finish(body []byte, ctype, cache string, wall time.Duration) {
 	j.mu.Lock()
 	j.cache = cache

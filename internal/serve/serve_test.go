@@ -430,24 +430,35 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
-// Freerun jobs run, but are never content-addressed: both submissions
-// execute and neither carries a cache disposition.
+// Freerun jobs are never cached: the freerun scheduler was removed, so
+// the service refuses such a submission with a structured 400 before it
+// queues a job or consults the cache.
 func TestFreerunNeverCached(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	sp := smallGrid()
 	sp.Scheduler = "freerun"
-	for i := 0; i < 2; i++ {
-		code, sr := submit(t, ts, sp)
-		if code != http.StatusAccepted {
-			t.Fatalf("freerun submit %d = %d, want 202", i, code)
-		}
-		if sr.Cache != "" || sr.Key != "" {
-			t.Fatalf("freerun submit %d = %+v, want no cache disposition", i, sr)
-		}
-		evs := progress(t, ts, sr.ID)
-		if last := evs[len(evs)-1]; last.Event != "done" || last.Cache != "" {
-			t.Fatalf("freerun terminal event = %+v, want done with no cache field", last)
-		}
+	body, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	var e struct{ Error string }
+	derr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(e.Error, "freerun was removed") {
+		t.Fatalf("freerun submit = %d %q (%v), want 400 naming the removal", resp.StatusCode, e.Error, derr)
+	}
+	_, list := get(t, ts, "/jobs")
+	_, stats := get(t, ts, "/cache/stats")
+	var cs CacheStats
+	if err := json.Unmarshal(stats, &cs); err != nil {
+		t.Fatalf("unmarshal cache stats: %v", err)
+	}
+	if strings.TrimSpace(string(list)) != "[]" || cs.Entries != 0 || cs.Hits+cs.Misses != 0 {
+		t.Fatalf("refused submission left state behind: jobs %s, cache %+v", list, cs)
 	}
 }
 
@@ -488,22 +499,29 @@ func TestCheckJob(t *testing.T) {
 	}
 }
 
-// Malformed submissions are rejected up front with 400.
+// Malformed submissions are rejected up front with 400, each with a JSON
+// error body; a nonzero par (the removed time-parallel knob) says so.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	for _, body := range []string{
-		`{"kind":"grid","cells":["Mandelbrot"]}`,
-		`{"kind":"tournament"}`,
-		`{"kind":"grid","surprise":true}`, // unknown fields are errors
-		`not json`,
+	for body, want := range map[string]string{
+		`{"kind":"grid","cells":["Mandelbrot"]}`: "",
+		`{"kind":"tournament"}`:                  "",
+		`{"kind":"grid","surprise":true}`:        "", // unknown fields are errors
+		`not json`:                               "",
+		`{"kind":"grid","par":4}`:                "par was removed",
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
+		var e struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %q = %d, want 400", body, resp.StatusCode)
+		}
+		if derr != nil || e.Error == "" || !strings.Contains(e.Error, want) {
+			t.Errorf("submit %q error body = %q (%v), want a JSON error containing %q", body, e.Error, derr, want)
 		}
 	}
 	if code, _ := get(t, ts, "/jobs/j99"); code != http.StatusNotFound {

@@ -130,7 +130,7 @@ type submitResponse struct {
 	State State  `json:"state"`
 	// Cache is "hit" when the result was served from the content-
 	// addressed cache without running, "miss" when the job will run and
-	// populate it, and empty for uncacheable (freerun) specs.
+	// populate it.
 	Cache string `json:"cache,omitempty"`
 	Key   string `json:"key,omitempty"`
 }
@@ -163,7 +163,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	key, cacheable := spec.CacheKey()
+	key := spec.CacheKey()
 
 	s.mu.Lock()
 	s.nextID++
@@ -171,15 +171,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	j := newJob(id, spec, key)
 
-	if cacheable {
-		if body, ctype, _, ok := s.cache.Get(key); ok {
-			// Served bit-identically from the content-addressed cache:
-			// the job is born done, no queue slot consumed.
-			s.register(j)
-			j.finish(body, ctype, "hit", 0)
-			writeJSON(w, http.StatusOK, submitResponse{ID: j.ID, State: j.State(), Cache: "hit", Key: key})
-			return
-		}
+	if body, ctype, _, ok := s.cache.Get(key); ok {
+		// Served bit-identically from the content-addressed cache: the
+		// job is born done, no queue slot consumed.
+		s.register(j)
+		j.finish(body, ctype, "hit", 0)
+		writeJSON(w, http.StatusOK, submitResponse{ID: j.ID, State: j.State(), Cache: "hit", Key: key})
+		return
 	}
 	if err := s.queue.Submit(j); err != nil {
 		code := http.StatusServiceUnavailable
@@ -191,11 +189,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.register(j)
-	resp := submitResponse{ID: j.ID, State: j.State(), Key: key}
-	if cacheable {
-		resp.Cache = "miss"
-	}
-	writeJSON(w, http.StatusAccepted, resp)
+	writeJSON(w, http.StatusAccepted, submitResponse{ID: j.ID, State: j.State(), Cache: "miss", Key: key})
 }
 
 func (s *Server) register(j *Job) {

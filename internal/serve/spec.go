@@ -56,16 +56,18 @@ type JobSpec struct {
 	LinkBW int64  `json:"linkbw,omitempty"`
 	NILat  int64  `json:"nilat,omitempty"`
 
-	// Scheduler is "" or "det" for the deterministic virtual-time
-	// scheduler, "freerun" for host-scheduled goroutines.  Freerun
-	// results are not run-to-run reproducible and are never cached.
+	// Scheduler is "" or "det", the deterministic virtual-time scheduler
+	// every run uses.  Normalize refuses the removed "freerun" value.
 	Scheduler string `json:"scheduler,omitempty"`
 	// SchedSeed selects the deterministic schedule.
 	SchedSeed uint64 `json:"sched_seed,omitempty"`
 
-	// Par runs the deterministic schedule time-parallel on up to Par
-	// workers.  It is a host-side knob — observables are bit-identical
-	// to serial — so it is excluded from the cache key.
+	// Par is refused by Normalize when nonzero.
+	//
+	// Deprecated: time-parallel execution was removed.  The field stays
+	// on the wire so old clients get a 400 naming the removal rather
+	// than an unknown-field error; zero is omitted from the canonical
+	// JSON, so it never enters the cache key.
 	Par int `json:"par,omitempty"`
 
 	// KVSkew and KVReshard tune the serving-traffic (KV) cells: the Zipf
@@ -129,9 +131,11 @@ func (sp *JobSpec) Normalize() error {
 	switch sp.Scheduler {
 	case "":
 		sp.Scheduler = "det"
-	case "det", "freerun":
+	case "det":
+	case "freerun":
+		return fmt.Errorf("scheduler freerun was removed: every run uses the deterministic scheduler (det)")
 	default:
-		return fmt.Errorf("scheduler must be det or freerun, got %q", sp.Scheduler)
+		return fmt.Errorf("scheduler must be det, got %q", sp.Scheduler)
 	}
 	if sp.Net == "" {
 		sp.Net = "uniform"
@@ -142,8 +146,8 @@ func (sp *JobSpec) Normalize() error {
 			return err
 		}
 	}
-	if sp.Par < 0 {
-		return fmt.Errorf("par must be >= 0, got %d", sp.Par)
+	if sp.Par != 0 {
+		return fmt.Errorf("par was removed: every run uses the serial deterministic scheduler, got par=%d", sp.Par)
 	}
 	if sp.KVSkew < 0 {
 		return fmt.Errorf("kv_skew must be >= 0, got %v", sp.KVSkew)
@@ -193,24 +197,14 @@ func (sp *JobSpec) Normalize() error {
 	return nil
 }
 
-// Cacheable reports whether the spec's results are a pure function of
-// the tuple.  Only freerun scheduling breaks that: the host's goroutine
-// interleaving leaks into order-dependent observables.
-func (sp JobSpec) Cacheable() bool { return sp.Scheduler != "freerun" }
-
 // CacheKey returns the content address of the spec's result: the SHA-256
-// of the canonical JSON of the normalized tuple with host-side knobs
-// (Par) masked out.  ok is false for uncacheable specs.
-func (sp JobSpec) CacheKey() (key string, ok bool) {
-	if !sp.Cacheable() {
-		return "", false
-	}
-	k := sp
-	k.Par = 0 // bit-identical to serial by construction; not part of the tuple
-	b, err := json.Marshal(k)
+// of the canonical JSON of the normalized tuple.  Every normalized spec's
+// result is a pure function of its tuple, so every spec has one.
+func (sp JobSpec) CacheKey() string {
+	b, err := json.Marshal(sp)
 	if err != nil {
-		return "", false
+		panic(err) // a JobSpec holds only plain values; Marshal cannot fail
 	}
 	sum := sha256.Sum256(append([]byte(specSchema+":"), b...))
-	return hex.EncodeToString(sum[:]), true
+	return hex.EncodeToString(sum[:])
 }

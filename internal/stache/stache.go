@@ -126,7 +126,7 @@ func (p *Protocol) recallDirty(b memsys.BlockID, e *entry, downgradeTo tempest.T
 func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	m := p.m
 	home := m.AS.HomeOf(b)
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
 	defer m.Unlock(b)
 	e := &p.entries[b]
@@ -161,7 +161,7 @@ func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	m := p.m
 	home := m.AS.HomeOf(b)
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
 	defer m.Unlock(b)
 	e := &p.entries[b]
@@ -258,7 +258,7 @@ func (p *Protocol) invalidateSharers(n *tempest.Node, b memsys.BlockID, e *entry
 // the write-back message.
 func (p *Protocol) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	m := p.m
-	n.SchedYieldEvict(b) // deterministic handler-entry order (see internal/sched)
+	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
 	defer m.Unlock(b)
 	l := n.Line(b)

@@ -44,16 +44,11 @@ type Barrier struct {
 	// fold cannot race an in-flight ChargeRemote.
 	foldClocks func() int64
 
-	// sched, when non-nil, is the run's deterministic scheduler: parkers
-	// hand the token on, the last arriver readies them, and an abort
-	// poisons the scheduler so unwinding nodes free-run.
+	// sched is the machine run's deterministic scheduler (nil for a raw
+	// barrier outside any machine): parkers hand the token on, the last
+	// arriver readies them, and an abort poisons the scheduler so
+	// unwinding nodes free-run.
 	sched *sched.Scheduler
-
-	// wakeLB is the admission lower bound declared for post-barrier
-	// segments under the time-parallel scheduler: every node leaving a
-	// machine barrier charges Cost.Barrier before its next scheduling
-	// point.  Zero (raw barriers, serial runs) declares nothing.
-	wakeLB int64
 
 	watchdog time.Duration
 	onStall  func(present []bool) string
@@ -97,8 +92,7 @@ func (e *StallError) Error() string {
 // Is matches ErrStalled.
 func (e *StallError) Is(t error) bool { return t == ErrStalled }
 
-// setSched attaches (or detaches, with nil) a run's deterministic
-// scheduler.
+// setSched attaches a run's deterministic scheduler.
 func (b *Barrier) setSched(s *sched.Scheduler) {
 	b.mu.Lock()
 	b.sched = s
@@ -170,7 +164,7 @@ func (b *Barrier) WaitNode(node int, clock int64) (int64, error) {
 		if s != nil && node >= 0 {
 			for i, p := range b.present {
 				if p && i != node {
-					s.SetReadyIntent(i, res, sched.Intent{Kind: sched.IntentCompute, LB: b.wakeLB})
+					s.SetReadyAt(i, res)
 				}
 			}
 		}
@@ -185,7 +179,7 @@ func (b *Barrier) WaitNode(node int, clock int64) (int64, error) {
 		b.mu.Unlock()
 		if s != nil && node >= 0 {
 			// Re-enter the run queue alongside the siblings just readied.
-			s.YieldIntent(node, res, sched.Intent{Kind: sched.IntentCompute, LB: b.wakeLB})
+			s.Yield(node, res)
 		}
 		return res, nil
 	}

@@ -1,19 +1,16 @@
 package tempest
 
 import (
-	"strings"
 	"testing"
 
 	"lcm/internal/fault"
 	"lcm/internal/memsys"
 )
 
-// recoveryMachine is newTestMachine with the deterministic scheduler and
-// checkpoint/restart enabled.
+// recoveryMachine is newTestMachine with checkpoint/restart enabled.
 func recoveryMachine(t *testing.T, p int, words uint64) (*Machine, *memsys.Region) {
 	t.Helper()
 	m, r := newTestMachine(t, p, words)
-	m.DetSched = true
 	m.Recovery = true
 	return m, r
 }
@@ -174,19 +171,6 @@ func TestRehomePastBudget(t *testing.T) {
 		if m.AS.BaseHomeOf(b) == 1 && m.AS.HomeOf(b) != 0 {
 			t.Fatalf("block %d migrated to %d, want the only live peer 0", b, m.AS.HomeOf(b))
 		}
-	}
-}
-
-// TestRecoveryRequiresDetSched: restart-by-deterministic-replay is only
-// sound when the access stream is reproducible, so Recovery under FreeRun
-// must refuse to run.
-func TestRecoveryRequiresDetSched(t *testing.T) {
-	m, _ := newTestMachine(t, 2, 64)
-	m.Recovery = true
-	m.DetSched = false
-	err := m.RunErr(func(n *Node) { n.Barrier() })
-	if err == nil || !strings.Contains(err.Error(), "deterministic scheduler") {
-		t.Fatalf("RunErr = %v, want a Recovery-requires-DetSched refusal", err)
 	}
 }
 

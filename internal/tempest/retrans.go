@@ -183,9 +183,3 @@ func (r *reliableNet) SetLoss(l *net.Loss) { r.inner.SetLoss(l) }
 // Deliver reports what the layer guarantees: everything above it is
 // delivered exactly once, in order.
 func (r *reliableNet) Deliver(src, dst int) net.Delivery { return net.Delivered }
-
-// MinLatency reports no lookahead: with delivery faults armed a message's
-// charge can be restructured by timeouts and retransmissions, so the layer
-// cannot promise any positive latency floor.  A zero window forces the
-// scheduler to stay serial (see internal/sched).
-func (r *reliableNet) MinLatency() int64 { return 0 }

@@ -20,6 +20,12 @@ import (
 // the wall-clock cost of a wedged node, returning a diagnostic dump
 // instead of hanging.
 
+// ErrDeadlock is the cause a run is aborted with when every live node is
+// parked on a simulated event (a barrier, a simulated lock) that no
+// runnable node can deliver — a barrier some node exits without
+// reaching, say.  Match with errors.Is.
+var ErrDeadlock = errors.New("tempest: scheduler deadlock: all live nodes blocked")
+
 // ErrUnresponsive marks a node that neither finished nor died within the
 // post-failure grace period (its goroutine is leaked; the machine's state
 // must not be trusted afterwards).
@@ -96,8 +102,8 @@ func (e *RunError) Unwrap() error {
 	return nil
 }
 
-// Run executes body on every node concurrently (SPMD) and returns when
-// all nodes finish.  The machine must be frozen.  If any node fails, Run
+// Run executes body on every node (SPMD) and returns when all nodes
+// finish.  The machine must be frozen.  If any node fails, Run
 // panics with the *RunError that RunErr would return; callers that want
 // to handle failure call RunErr instead.
 func (m *Machine) Run(body func(n *Node)) {
@@ -106,14 +112,21 @@ func (m *Machine) Run(body func(n *Node)) {
 	}
 }
 
-// RunErr executes body on every node concurrently (SPMD) and returns a
-// structured error when any node fails.
+// RunErr executes body on every node (SPMD) and returns a structured
+// error when any node fails.  Each node runs on its own goroutine, but the
+// run's deterministic scheduler lets exactly one execute simulator code at
+// a time, so every observable is a pure function of the machine's
+// configuration and SchedSeed.
 //
 // A node "fails" by panicking (a protocol bug, an injected unrecoverable
 // fault, or a retry budget running out).  The first failure aborts the
 // machine's barrier, so siblings parked there unwind promptly and are
-// reported as collateral.  When Machine.Watchdog is positive, a barrier
-// round that stalls past the bound is aborted with per-node diagnostics,
+// reported as collateral.  A run in which every live node waits on a
+// simulated event that no node can deliver (a barrier some node never
+// reaches) aborts the same way, with ErrDeadlock as the cause.  When
+// Machine.Watchdog is positive, a barrier round that stalls past the
+// bound — a node blocked in host code, outside any scheduling point the
+// scheduler can see — is aborted with per-node diagnostics,
 // and nodes that still fail to unwind within a grace period are reported
 // unresponsive (their goroutines are leaked and the machine is poisoned —
 // read nothing further from it).
@@ -128,11 +141,6 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	if m.cfgErr != nil {
 		return m.cfgErr
 	}
-	if m.Recovery && !m.DetSched {
-		// Restart-by-deterministic-replay is only sound when the access
-		// stream is reproducible.
-		return errors.New("tempest: Recovery requires the deterministic scheduler (set DetSched)")
-	}
 	if m.Watchdog > 0 {
 		m.bar.SetWatchdog(m.Watchdog, m.barrierDiagnostics)
 	} else {
@@ -143,48 +151,14 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	// live).  A barrier abort or watchdog stall poisons it so unwinding
 	// nodes free-run; a node that exits while a sibling still waits at the
 	// barrier is a deadlock the scheduler detects and converts to an abort.
-	var sc *sched.Scheduler
-	for _, nd := range m.Nodes {
-		nd.pubClock = nil
+	sc := sched.New(m.P, m.SchedSeed)
+	if m.SchedHook != nil {
+		m.SchedHook(sc)
 	}
-	m.bar.wakeLB = 0
-	if m.DetSched {
-		sc = sched.New(m.P, m.SchedSeed)
-		if m.SchedHook != nil {
-			m.SchedHook(sc)
-		}
-		sc.OnDeadlock(func() {
-			m.bar.Abort(errors.New("tempest: scheduler deadlock: all live nodes blocked"))
-		})
-		m.schedder = sc
-		m.bar.setSched(sc)
-		if par := m.parWorkers(); par > 1 {
-			m.laRemote = m.Net.MinLatency()
-			m.laLocal = m.Cost.MarkLocal
-			if m.Cost.LocalFill < m.laLocal {
-				m.laLocal = m.Cost.LocalFill
-			}
-			if m.laLocal < 0 {
-				m.laLocal = 0
-			}
-			sc.SetParallel(par, m.admitOK)
-			for _, nd := range m.Nodes {
-				nd.pubClock = sc.PubSlot(nd.ID)
-			}
-			m.bar.wakeLB = m.Cost.Barrier
-			if m.Net.Name() != "uniform" {
-				// Contention models mutate a shared ledger per message;
-				// gate them so concurrent segments touch it in grant order.
-				inner := m.Net
-				m.Net = &gatedNet{Network: inner, s: sc}
-				defer func() { m.Net = inner }()
-			}
-		}
-		sc.Start()
-	} else {
-		m.schedder = nil
-		m.bar.setSched(nil)
-	}
+	sc.OnDeadlock(func() { m.bar.Abort(ErrDeadlock) })
+	m.schedder = sc
+	m.bar.setSched(sc)
+	sc.Start()
 
 	var (
 		mu       sync.Mutex
@@ -220,13 +194,9 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 					m.bar.Abort(fmt.Errorf("node %d died: %w", nd.ID, err))
 					failOnce.Do(func() { close(failed) })
 				}
-				if sc != nil {
-					sc.Exit(nd.ID)
-				}
+				sc.Exit(nd.ID)
 			}()
-			if sc != nil {
-				sc.AwaitGrant(nd.ID)
-			}
+			sc.AwaitGrant(nd.ID)
 			body(nd)
 			nd.FoldStolen()
 		}(nd)

@@ -145,27 +145,69 @@ func TestRunPanicsWithRunError(t *testing.T) {
 	t.Fatal("Run returned despite node panic")
 }
 
-// TestWatchdogDetectsBarrierStall: a node that never reaches the barrier
-// must not hang the run forever — the watchdog aborts the round with
-// per-node diagnostics.
-func TestWatchdogDetectsBarrierStall(t *testing.T) {
+// TestMissingBarrierArrivalDeadlocks: a node that exits without
+// reaching the barrier its sibling waits at leaves no runnable node, so
+// the scheduler aborts the run with ErrDeadlock at once — no watchdog
+// armed, no wall-clock timer involved.
+func TestMissingBarrierArrivalDeadlocks(t *testing.T) {
 	m, _ := newTestMachine(t, 2, 64)
-	m.Watchdog = 100 * time.Millisecond
 	start := time.Now()
 	err := m.RunErr(func(n *Node) {
 		if n.ID == 0 {
 			n.Barrier() // node 1 never arrives
 		}
 	})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadlocked run took %v to abort", elapsed)
+	}
+	if !errors.Is(err, ErrDeadlock) || !errors.Is(err, ErrAborted) {
+		t.Fatalf("RunErr = %v, want a barrier abort caused by ErrDeadlock", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || len(re.Nodes) != 1 || re.Nodes[0].Node != 0 || !re.Nodes[0].Collateral {
+		t.Fatalf("RunErr = %#v, want exactly node 0 released from the barrier", err)
+	}
+	if re.Diagnostics == "" {
+		t.Fatal("no diagnostics attached to the deadlock failure")
+	}
+}
+
+// TestWatchdogDetectsBarrierStall: a node that blocks in host code
+// holds the scheduler's token without reaching a scheduling point, which
+// the scheduler cannot distinguish from a long segment.  Only the
+// watchdog bounds it: the barrier round stalls, the parked sibling is
+// released with the stall diagnostics, and the blocked node is reported
+// unresponsive.
+func TestWatchdogDetectsBarrierStall(t *testing.T) {
+	m, _ := newTestMachine(t, 2, 64)
+	m.Watchdog = 100 * time.Millisecond
+	release := make(chan struct{})
+	defer close(release)
+	start := time.Now()
+	err := m.RunErr(func(n *Node) {
+		if n.ID == 1 {
+			<-release // blocked outside the simulator
+		}
+		n.Barrier()
+	})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("stalled run took %v; watchdog did not bound it", elapsed)
 	}
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("RunErr = %v, want ErrStalled in chain", err)
+	if !errors.Is(err, ErrUnresponsive) {
+		t.Fatalf("RunErr = %v, want the blocked node reported unresponsive", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("RunErr = %v, want *RunError", err)
 	}
 	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("RunErr = %v, want *StallError in chain", err)
+	for _, ne := range re.Nodes {
+		if ne.Node == 0 && !errors.As(ne.Err, &se) {
+			t.Fatalf("node 0 error = %v, want *StallError in chain", ne.Err)
+		}
+	}
+	if se == nil {
+		t.Fatalf("RunErr = %v, want node 0 released by the stall", err)
 	}
 	if se.Arrived != 1 || se.N != 2 {
 		t.Fatalf("stall = %d/%d arrived, want 1/2", se.Arrived, se.N)
@@ -175,6 +217,9 @@ func TestWatchdogDetectsBarrierStall(t *testing.T) {
 	}
 	if !strings.Contains(se.Diagnostics, "node  0") {
 		t.Fatalf("stall diagnostics missing parked node dump:\n%s", se.Diagnostics)
+	}
+	if re.Diagnostics != se.Diagnostics {
+		t.Fatal("RunError does not carry the watchdog's stall dump")
 	}
 }
 

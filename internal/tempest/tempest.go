@@ -200,14 +200,16 @@ type Machine struct {
 	// of aborting the machine, and a node killed past its restart budget
 	// hands its home regions to a live peer (degraded mode).  All
 	// recovery charges are gated on this flag, so fault-free runs stay
-	// bit-identical to historical results.  Requires DetSched.  Set
-	// before Run.
+	// bit-identical to historical results.  Set before Run.
 	Recovery bool
 
 	// Watchdog, when positive, bounds the wall-clock duration of any
 	// single barrier round: a round that stalls past the bound is
-	// aborted with per-node diagnostics instead of deadlocking, and
-	// RunErr bounds its post-failure wait for straggler nodes.  Zero
+	// aborted with per-node diagnostics instead of hanging, and RunErr
+	// bounds its post-failure wait for straggler nodes.  The scheduler
+	// already turns a barrier some node never reaches into ErrDeadlock
+	// without any timer; the watchdog is for what the scheduler cannot
+	// see — a node blocked in host code between scheduling points.  Zero
 	// (the default) disables all wall-clock timers.  Set before Run.
 	Watchdog time.Duration
 
@@ -219,30 +221,20 @@ type Machine struct {
 	// Run.
 	ScalarAccess bool
 
-	// DetSched enables the deterministic virtual-time scheduler (see
-	// internal/sched): node goroutines hand a cooperative token around at
-	// synchronization points instead of free-running, so the whole
-	// interleaving — and with it simulated cycles and order-dependent
-	// fault counts at P>1 — is a pure function of (workload, P,
-	// SchedSeed).  Set before Run.  Off by default at this level so raw
-	// tempest tests exercise the free-running engine; the workloads layer
-	// turns it on by default.
+	// DetSched is ignored: every run uses the deterministic scheduler.
+	//
+	// Deprecated: the free-running engine this flag once switched off
+	// was removed.  Kept only because the perfbench module's Stencil
+	// driver still sets it.
 	DetSched bool
 
-	// SchedSeed selects the deterministic schedule's tie-break hash when
-	// DetSched is set (0 = canonical cycle/node order).
+	// SchedSeed selects the deterministic schedule's tie-break hash (0 =
+	// canonical cycle/node order).  Every run is scheduled by
+	// internal/sched: node goroutines hand a cooperative token around at
+	// synchronization points, so the whole interleaving — and with it
+	// simulated cycles and order-dependent fault counts at P>1 — is a
+	// pure function of (workload, P, SchedSeed).  Set before Run.
 	SchedSeed uint64
-
-	// Par, when > 1, enables time-parallel execution under DetSched: up
-	// to Par nodes run their segments on concurrent OS threads whenever
-	// the interconnect model's minimum message latency (net.MinLatency)
-	// proves the serial grant order cannot observe the difference.
-	// Every observable — simulated cycles included — stays bit-identical
-	// to the serial token scheduler.  Runs that cannot make that proof
-	// fall back to serial silently: free-running, checker hooks, fault
-	// injection, delivery loss, recovery replay, and models with no
-	// positive latency floor.  Set before Run.
-	Par int
 
 	// SchedHook, when non-nil, is invoked on each run's fresh scheduler
 	// before it starts, so the model checker (internal/check) can install
@@ -255,12 +247,6 @@ type Machine struct {
 	frozen   bool
 	cfgErr   error
 	schedder *sched.Scheduler
-
-	// laLocal/laRemote are the active run's admission lower bounds for
-	// locally- and remotely-homed fault segments (see parallel.go); set
-	// by RunErr when parallel mode engages, read by SchedYieldFault.
-	laLocal  int64
-	laRemote int64
 
 	// trackWrites is set at Freeze when any region requests conflict
 	// checking; it gates the per-store word recording.
@@ -379,7 +365,7 @@ func (m *Machine) Frozen() bool { return m.frozen }
 // token holder runs simulator code) and doubles as the footprint the
 // model checker records for sleep-set pruning.
 func (m *Machine) Lock(b memsys.BlockID) {
-	if s := m.schedder; s != nil {
+	if s := m.schedder; s != nil { // nil only before the first run
 		s.NoteLock(uint32(b))
 	}
 	m.locks[b].Lock()
@@ -392,7 +378,7 @@ func (m *Machine) Unlock(b memsys.BlockID) { m.locks[b].Unlock() }
 func (m *Machine) Barrier() *Barrier { return m.bar }
 
 // Sched returns the current (or most recent) run's deterministic
-// scheduler, nil when DetSched is off or no run has started.
+// scheduler, nil before the first run.
 func (m *Machine) Sched() *sched.Scheduler { return m.schedder }
 
 // AttachTrace enables event tracing with the given per-node ring capacity.
@@ -473,91 +459,22 @@ type Node struct {
 	// goroutine only; see checkpoint.go.
 	ckpt     checkpoint
 	degraded bool
-
-	// pubClock is the node's published-clock slot in the time-parallel
-	// scheduler (nil on serial runs).  The node stores a monotone lower
-	// bound on its virtual clock there as charges accumulate, so the
-	// admitter can release later candidates while this segment still
-	// runs.  It publishes n.clock without the stolen component: stolen
-	// only ever adds, so the store stays a valid lower bound.
-	pubClock *atomic.Int64
-}
-
-// publish exports the node's clock to the parallel admitter.  No-op on
-// serial runs (one nil check).
-func (n *Node) publish() {
-	if p := n.pubClock; p != nil {
-		p.Store(n.clock)
-		n.M.schedder.NotePublish(n.clock)
-	}
 }
 
 // Clock returns the node's current virtual cycle count including handler
 // cycles stolen by other nodes' requests.
 func (n *Node) Clock() int64 { return n.clock + n.stolen.Load() }
 
-// SchedYield is a deterministic-scheduler synchronization point: under
-// DetSched the node offers the token at its current virtual time and does
-// not proceed until the run queue grants it again.  Protocol handlers
-// call it immediately before acquiring a block's home lock, so the order
-// in which contending nodes enter a handler is decided by virtual time,
-// not by the host's mutex arbitration.  No-op when DetSched is off.
-// This plain form declares a fence (maximally conservative) intent; the
-// protocol fault paths use the intent-carrying variants below so the
-// time-parallel admitter can overlap provably-independent segments.
-func (n *Node) SchedYield() {
-	if s := n.M.schedder; s != nil {
-		s.Yield(n.ID, n.Clock())
-	}
-}
-
-// SchedYieldFault is the scheduling point at a fault-handler entry for
-// block b: the next segment touches only b's protocol state, b's home,
-// and this node's own clock, and charges at least the declared floor
-// before its next scheduling point (local fill when b is homed here, the
-// interconnect's minimum message latency otherwise — every post-yield
-// path of every handler charges at least that; see PROTOCOLS.md).
-func (n *Node) SchedYieldFault(b memsys.BlockID) {
-	s := n.M.schedder
-	if s == nil {
-		return
-	}
-	home := n.M.AS.HomeOf(b)
-	lb := n.M.laLocal
-	if home != n.ID {
-		lb = n.M.laRemote
-	}
-	s.YieldIntent(n.ID, n.Clock(), sched.Intent{Kind: sched.IntentFault, Block: uint32(b), Home: home, LB: lb})
-}
-
-// SchedYieldEvict is SchedYieldFault for eviction segments.  An eviction
-// may find the copy already revoked and return chargeless, so it
-// declares no charge floor (LB zero is always sound).
-func (n *Node) SchedYieldEvict(b memsys.BlockID) {
-	s := n.M.schedder
-	if s == nil {
-		return
-	}
-	s.YieldIntent(n.ID, n.Clock(), sched.Intent{Kind: sched.IntentFault, Block: uint32(b), Home: n.M.AS.HomeOf(b)})
-}
-
-// GrantKey returns the position of the node's current segment in the
-// scheduler's grant sequence — a total order identical between serial
-// and time-parallel runs.  Protocols key order-sensitive side lists
-// (dirty lists, conflict logs) with it so a later stable sort replays
-// insertions in serial order.  Zero without a scheduler.
-func (n *Node) GrantKey() uint64 {
-	if s := n.M.schedder; s != nil {
-		return s.GrantKey(n.ID)
-	}
-	return 0
-}
+// SchedYield is a deterministic-scheduler synchronization point: the
+// node offers the token at its current virtual time and does not proceed
+// until the run queue grants it again.  Protocol handlers call it
+// immediately before acquiring a block's home lock, so the order in which
+// contending nodes enter a handler is decided by virtual time, not by the
+// host's mutex arbitration.
+func (n *Node) SchedYield() { n.M.schedder.Yield(n.ID, n.Clock()) }
 
 // Charge advances the node's clock by c cycles (owner goroutine only).
-func (n *Node) Charge(c int64) {
-	n.clock += c
-	n.publish()
-}
+func (n *Node) Charge(c int64) { n.clock += c }
 
 // ChargeRemote charges c cycles to another node's clock (handler occupancy
 // stolen from the home processor).  Safe from any goroutine.
@@ -567,7 +484,6 @@ func (n *Node) ChargeRemote(c int64) { n.stolen.Add(c) }
 // barriers and at the end of Run.
 func (n *Node) FoldStolen() {
 	n.clock += n.stolen.Swap(0)
-	n.publish()
 }
 
 // Line returns the node's line for block b, or nil if none was ever
@@ -709,7 +625,6 @@ func (n *Node) Barrier() {
 		panic(err)
 	}
 	n.clock = c + n.M.Cost.Barrier
-	n.publish()
 	n.Ctr.Barriers++
 	if n.M.Recovery {
 		// The epoch boundary is where the consistency contract makes

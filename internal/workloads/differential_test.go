@@ -17,7 +17,7 @@ import (
 // at P>1 were compared on a "stream-determined subset": under free-running
 // goroutines, barrier clock folding and mid-phase invalidation order
 // depended on host scheduling.  The deterministic scheduler
-// (internal/sched, on by default in Config) makes the interleaving a pure
+// (internal/sched, the only engine) makes the interleaving a pure
 // function of (workload, P, seed); the span and scalar engines funnel
 // through the same fault points with identical charges, so they replay the
 // same schedule and every field — cycles included — must now match

@@ -72,7 +72,6 @@ type Config struct {
 	// Recover enables checkpoint/restart plus degraded-mode re-homing
 	// (tempest.Machine.Recovery): kills under a KillRecover fault plan
 	// restart from the last barrier checkpoint instead of aborting.
-	// Requires the deterministic scheduler (incompatible with FreeRun).
 	Recover bool
 	// SchedSeed selects the deterministic schedule (see internal/sched):
 	// every (workload, P, seed) triple replays bit-identically, including
@@ -80,17 +79,6 @@ type Config struct {
 	// the canonical (cycle, node) order; other seeds permute same-cycle
 	// ties.
 	SchedSeed uint64
-	// FreeRun disables the deterministic scheduler and lets node
-	// goroutines interleave at the host's whim, as the simulator did
-	// historically.  Order-dependent observables are then not run-to-run
-	// reproducible; only benchmarking wall-clock parallelism wants this.
-	FreeRun bool
-	// Par, when > 1, runs the deterministic schedule time-parallel on up
-	// to Par worker threads (tempest.Machine.Par): every observable stays
-	// bit-identical to Par=0, only host wall clock changes.  Ignored
-	// under FreeRun and silently serial for configurations that cannot
-	// prove a lookahead window (loss, faults, recovery).
-	Par int
 }
 
 func (c Config) norm() Config {
@@ -118,9 +106,7 @@ func (c Config) machine(sys cstar.System) *tempest.Machine {
 	}
 	m.Watchdog = c.Watchdog
 	m.ScalarAccess = c.ScalarAccess
-	m.DetSched = !c.FreeRun
 	m.SchedSeed = c.SchedSeed
-	m.Par = c.Par
 	if c.Net != nil {
 		nw, err := net.New(*c.Net, c.P, *c.CostModel)
 		if err != nil {

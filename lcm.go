@@ -156,7 +156,12 @@ type MachineConfig struct {
 }
 
 // NewMachine builds a simulated machine.  Allocate aggregates, then call
-// Freeze on the machine, then Run.
+// Freeze on the machine, then Run.  Runs are deterministic: the machine's
+// scheduler lets one node execute at a time in virtual-time order, so
+// repeated runs of the same program produce identical cycles and
+// counters.  Node bodies synchronize through the machine (barriers,
+// reductions, simulated locks), never through host primitives such as
+// channels, which would wait on a node that cannot run.
 func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 32

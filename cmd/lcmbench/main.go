@@ -11,7 +11,8 @@
 //
 //	lcmbench [-scale N] [-p N] [-blocksize N] [-verify] [-table1]
 //	         [-fig2] [-fig3] [-ablate] [-net=uniform|fattree] [-linkbw N]
-//	         [-nilat N] [-netsweep] [-schedseed N] [-kvskew S] [-kvreshard N]
+//	         [-nilat N] [-netsweep] [-faults] [-schedseed N] [-kvskew S]
+//	         [-kvreshard N]
 //
 // With no selection flags, all experiments run.  -cells selects
 // individual grid cells by name, including the serving-traffic cells
@@ -23,16 +24,16 @@
 // -netsweep runs the contention sensitivity sweep.  Runs are scheduled by
 // the deterministic virtual-time scheduler (internal/sched): every
 // observable, simulated cycles included, is a pure function of the
-// configuration and -schedseed.  -chaos runs the fault-injection
-// campaign instead: every workload under every memory system with seeded
-// faults, asserting answers bit-identical to the fault-free runs and
-// recovery counters matching the injected plans; the exit status reports
-// the verdict.  -recovery runs the crash-recovery
-// matrix: node kills restarting from barrier checkpoints, sustained
-// message loss survived by retransmission, and kill storms past the
-// restart budget forcing degraded-mode re-homing, each cell asserting
-// answer identity against the fault-free oracle, bit-identical replay,
-// and exact recovery accounting.
+// configuration and -schedseed.  -faults runs the fault matrix instead:
+// every workload under every memory system under every seeded fault plan
+// (corrupted transfers, dropped, duplicated and reordered messages,
+// handler spikes, node stalls, node kills restarting from barrier
+// checkpoints, kill storms past the restart budget forcing degraded-mode
+// re-homing) with seeds 1 and 2.  Each run asserts answer identity
+// against the sequential oracle, bit-identical replay, and recovery
+// counters matching the injected faults exactly; the unrecoverable
+// kill-abort plan must end in a structured failure with diagnostics.
+// The exit status reports the verdict.
 //
 // Benchmark cells that fail to run — an invalid configuration (for
 // example -blocksize above the protocol's 256-byte element-tracking
@@ -89,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fig2 := fs.Bool("fig2", false, "run only Figure 2 (Stencil)")
 	fig3 := fs.Bool("fig3", false, "run only Figure 3 (Adaptive/Threshold/Unstructured)")
 	ablate := fs.Bool("ablate", false, "run only the Section 7 ablations")
-	chaos := fs.Bool("chaos", false, "run only the fault-injection chaos campaign")
-	recovery := fs.Bool("recovery", false, "run only the crash-recovery matrix (checkpointed restarts, retransmission under message loss, degraded-mode re-homing)")
+	faults := fs.Bool("faults", false, "run only the fault matrix (corruption, message drop/duplicate/reorder, spikes, stalls, checkpointed restarts, degraded-mode re-homing, unrecoverable kill)")
 	sweeps := fs.Bool("sweeps", false, "also run the extension sweeps (block size, processors, cache capacity, interconnect); heavy at scale 1")
 	netModel := fs.String("net", "uniform", "interconnect model: uniform (flat charges, bit-identical to the historical model) or fattree (CM-5-style 4-ary fat tree with link/NI queueing)")
 	linkBW := fs.Int64("linkbw", 0, "fattree link serialization in cycles per byte (0 = default; higher = less bandwidth)")
@@ -167,21 +167,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 		return 0
 	}
-	if *chaos {
-		if err := s.RunChaos(harness.DefaultChaosPlans()); err != nil {
-			fmt.Fprintf(stderr, "lcmbench: chaos campaign FAILED:\n%v\n", err)
+	if *faults {
+		if err := s.RunFaults(harness.DefaultFaultPlans(), []uint64{1, 2}); err != nil {
+			fmt.Fprintf(stderr, "lcmbench: fault matrix FAILED:\n%v\n", err)
 			return 1
 		}
-		fmt.Fprintln(stdout, "chaos campaign passed: all recoveries bit-identical, counters match injected plans")
-		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-		return 0
-	}
-	if *recovery {
-		if err := s.RunRecovery(harness.DefaultRecoveryPlans(), []uint64{1, 2}); err != nil {
-			fmt.Fprintf(stderr, "lcmbench: recovery matrix FAILED:\n%v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "recovery matrix passed: all runs survived, answers and replays bit-identical, recovery counters exact")
+		fmt.Fprintln(stdout, "fault matrix passed: answers and replays bit-identical, recovery counters match injected faults, unrecoverable kills reported with diagnostics")
 		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 		return 0
 	}

@@ -108,7 +108,7 @@ func main() {
 		}
 		cfg := check.Config{System: syss[0], Nodes: *nodes, Blocks: *blocks, Script: scripts[0]}
 		if *kill {
-			cfg.Faults, cfg.Recovery = killPlan(), true
+			cfg.Faults = killPlan()
 		}
 		vio, dump, err := check.Replay(cfg, path)
 		if err != nil {
@@ -132,7 +132,7 @@ func main() {
 				MaxSchedules: *maxSchedules, NoSleep: *noSleep,
 			}
 			if *kill {
-				cfg.Faults, cfg.Recovery = killPlan(), true
+				cfg.Faults = killPlan()
 			}
 			res, err := check.Explore(cfg)
 			if err != nil {

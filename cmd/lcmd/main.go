@@ -1,6 +1,6 @@
 // Command lcmd runs the simulator as a long-running HTTP service: the
 // harness campaigns (Table-1 grid cells, the interconnect sweep, the
-// chaos and recovery matrices, the protocol model checker) become
+// fault matrix, the protocol model checker) become
 // submitted jobs behind a bounded-concurrency queue with streaming
 // NDJSON progress, a content-addressed result cache keyed on the full
 // deterministic run tuple, and a Prometheus-text /metrics endpoint

@@ -92,14 +92,12 @@ type Config struct {
 	// NoSleep disables the sleep-set reduction.
 	NoSleep bool
 	// Faults, when non-nil, attaches a deterministic fault injector to
-	// every explored run.  With a KillRecover plan and Recovery set, the
-	// search covers kill/restart across interleavings: the kill node's
-	// recovery charge perturbs the virtual clocks, so schedules around
-	// the crash point are explored, and every safety property must still
-	// hold through checkpointed restarts.
+	// every explored run.  With a KillRecover plan the search covers
+	// kill/restart across interleavings: the kill node's recovery charge
+	// perturbs the virtual clocks, so schedules around the crash point
+	// are explored, and every safety property must still hold through
+	// checkpointed restarts.
 	Faults *fault.Plan
-	// Recovery enables checkpoint/restart (tempest.Machine.Recovery).
-	Recovery bool
 	// NewProtocol, when non-nil, overrides the protocol construction
 	// (tests inject violating doubles here).  The protocol-specific
 	// invariant audits and flush/commit pairing only run for the real
@@ -232,7 +230,6 @@ func runOne(cfg Config, o *oracle, path []int) runOut {
 	if cfg.Faults != nil {
 		m.AttachFaults(*cfg.Faults)
 	}
-	m.Recovery = cfg.Recovery
 	v := cstar.NewVectorF32(m, "v", cfg.Blocks*slotsPerBlock, cstar.DataPolicy(cfg.System), memsys.Blocked)
 	m.Freeze()
 

@@ -12,8 +12,7 @@ import (
 func killCfg(sys cstar.System, s Script) Config {
 	return Config{
 		System: sys, Nodes: 2, Blocks: 2, Script: s,
-		Faults:   &fault.Plan{Seed: 0x6b111, KillNode: 1, KillAfter: 2, KillCount: 2, KillRecover: true},
-		Recovery: true,
+		Faults: &fault.Plan{Seed: 0x6b111, KillNode: 1, KillAfter: 2, KillCount: 2, KillRecover: true},
 	}
 }
 

@@ -83,8 +83,8 @@ type Model struct {
 	Compute int64
 
 	// The four fields below price crash recovery.  They are charged only
-	// when the machine runs with Recovery enabled, so fault-free runs
-	// remain bit-identical to historical results.
+	// under a fault plan with KillRecover set, so fault-free runs remain
+	// bit-identical to historical results.
 
 	// CheckpointPerLine is charged per installed line snapshotted into a
 	// node's barrier-epoch checkpoint (a local memory copy).

@@ -1,34 +1,38 @@
-// Package fault is a deterministic, seed-driven fault-injection layer for
-// the simulated Tempest machine.
+// Package fault is the simulator's one fault model: a deterministic,
+// seed-driven description of everything that can go wrong on the
+// simulated Tempest machine, and the one port through which it is
+// injected.
 //
 // The paper's substrate — Blizzard on a real CM-5, with coherence handled
-// by user-level software — ran on hardware where transient message loss,
-// corrupted transfers and stalled handlers were real events.  The
-// simulator's interconnect is perfect, so this package re-introduces those
-// events under test control: an Injector attached to a machine decides, at
-// every data-movement boundary, whether to corrupt a block transfer, drop
-// a fault-handler round trip, spike a home handler's occupancy, stall a
-// node's virtual clock, or kill a node outright.
+// by user-level software — ran on hardware where lost messages,
+// corrupted transfers, stalled handlers and crashed nodes were real
+// events.  The simulator's interconnect is perfect, so this package
+// re-introduces those events under test control.  A Plan names the
+// rates and triggers; an Injector attached to a machine decides, at
+// every data-movement boundary, whether to corrupt a block transfer,
+// drop, duplicate or reorder a message, spike a home handler's
+// occupancy, stall a node's virtual clock, or kill a node outright.
 //
 // Determinism is the design constraint.  Every node owns an independent
-// splitmix64 stream seeded from (Plan.Seed, node ID), and every injection
-// decision is made in the owning node's goroutine at a point fixed by that
-// node's access stream.  Since the simulator's access streams are
-// themselves deterministic (see the golden accounting tests in
-// internal/workloads), the same Plan injects the same faults at the same
-// points on every run, regardless of goroutine interleaving — which is
-// what lets the chaos harness assert that recovery counters match the
-// injected plan exactly.
+// splitmix64 stream seeded from (Plan.Seed, node ID), and every decision
+// about a node's transfers, messages and faults draws from that node's
+// stream.  The machine's deterministic scheduler fixes the order of
+// those draws, so the same Plan injects the same faults at the same
+// points on every run — which is what lets the fault matrix assert that
+// recovery counters match the injected plan exactly.
 //
 // Faults never change program-visible data: corruption is healed by
-// re-fetch, timeouts are retried, and stalls/spikes only charge virtual
-// cycles.  A chaos run must therefore produce results bit-identical to the
-// fault-free run; any divergence is a recovery bug.
+// re-fetch, dropped messages are retransmitted, duplicates are
+// discarded, reordered messages are resequenced, and stalls and spikes
+// only charge virtual cycles.  A recoverable run must therefore produce
+// results bit-identical to the fault-free run; any divergence is a
+// recovery bug.
 package fault
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Plan describes one seeded fault-injection campaign.  Probabilities are
@@ -45,9 +49,16 @@ type Plan struct {
 	// exponential backoff, charged in virtual cycles.
 	CorruptPerMil int
 
-	// TransientPerMil is the probability (‰), per remote access-fault
-	// round trip, that the request "times out" and must be re-sent.
-	TransientPerMil int
+	// DropPerMil, DupPerMil and ReorderPerMil are the per-message
+	// delivery-fault rates (‰), drawn disjointly from one roll per
+	// message: drop wins over duplicate wins over reorder.  A dropped
+	// message times out and is retransmitted; a duplicate is discarded
+	// by the receiver's sequence numbers; a reordered message is held
+	// for resequencing.  Any nonzero rate interposes the machine's
+	// retransmission layer.
+	DropPerMil    int
+	DupPerMil     int
+	ReorderPerMil int
 
 	// SpikePerMil is the probability (‰), per remote access fault, that
 	// the home node's handler suffers an occupancy spike of SpikeCycles.
@@ -60,7 +71,7 @@ type Plan struct {
 	StallCycles int64
 
 	// RetryBudget bounds consecutive recovery attempts for one operation
-	// (re-fetches of one transfer, re-sends of one request).  Exceeding
+	// (re-fetches of one transfer, re-sends of one message).  Exceeding
 	// it is an unrecoverable fault.  Default 8.
 	RetryBudget int
 
@@ -73,14 +84,14 @@ type Plan struct {
 	// KillNode / KillAfter inject a node failure: node KillNode dies on
 	// its KillAfter-th access fault.  Active only when KillAfter > 0.
 	// Without KillRecover the failure is unrecoverable (machine-wide
-	// abort); with it, and with the machine's Recovery mode on, each kill
-	// becomes a deterministic restart from the node's last barrier-epoch
-	// checkpoint.
+	// abort); with it, each kill becomes a deterministic restart from the
+	// node's last barrier-epoch checkpoint.
 	KillNode  int
 	KillAfter int
 
-	// KillRecover turns injected kills into checkpoint restarts (see
-	// above).  Ignored unless the machine runs with Recovery enabled.
+	// KillRecover turns on crash recovery: every node checkpoints at
+	// every barrier, injected kills restart from the last checkpoint
+	// (see above), and a node killed past RestartBudget is re-homed.
 	KillRecover bool
 
 	// KillCount is the number of kills injected (default 1 when a kill
@@ -120,10 +131,14 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
+// Lossy reports whether the plan injects delivery faults, i.e. whether
+// the machine needs its retransmission layer.
+func (p Plan) Lossy() bool { return p.DropPerMil > 0 || p.DupPerMil > 0 || p.ReorderPerMil > 0 }
+
 // String renders the plan for reports.
 func (p Plan) String() string {
-	s := fmt.Sprintf("seed=%#x corrupt=%d‰ transient=%d‰ spike=%d‰ stall=%d‰",
-		p.Seed, p.CorruptPerMil, p.TransientPerMil, p.SpikePerMil, p.StallPerMil)
+	s := fmt.Sprintf("seed=%#x corrupt=%d‰ drop=%d‰ dup=%d‰ reorder=%d‰ spike=%d‰ stall=%d‰",
+		p.Seed, p.CorruptPerMil, p.DropPerMil, p.DupPerMil, p.ReorderPerMil, p.SpikePerMil, p.StallPerMil)
 	if p.KillAfter > 0 {
 		s += fmt.Sprintf(" kill=n%d@%d", p.KillNode, p.KillAfter)
 	}
@@ -136,13 +151,16 @@ func (p Plan) String() string {
 	return s
 }
 
-// Tally counts the faults an Injector actually injected.  The chaos
-// harness asserts the machine's recovery counters against it.
+// Tally counts the faults an Injector actually injected.  The fault
+// matrix asserts the machine's recovery counters against it.
 type Tally struct {
 	// Corruptions is the number of block transfers corrupted in flight.
 	Corruptions int64
-	// Timeouts is the number of remote request round trips dropped.
-	Timeouts int64
+	// Dropped, Duplicated and Reordered count the messages that were
+	// lost, delivered twice, and delivered out of order.
+	Dropped    int64
+	Duplicated int64
+	Reordered  int64
 	// Spikes is the number of handler occupancy spikes.
 	Spikes int64
 	// Stalls is the number of node stalls.
@@ -155,7 +173,9 @@ type Tally struct {
 // Add accumulates o into t.
 func (t *Tally) Add(o Tally) {
 	t.Corruptions += o.Corruptions
-	t.Timeouts += o.Timeouts
+	t.Dropped += o.Dropped
+	t.Duplicated += o.Duplicated
+	t.Reordered += o.Reordered
 	t.Spikes += o.Spikes
 	t.Stalls += o.Stalls
 	t.Kills += o.Kills
@@ -163,18 +183,19 @@ func (t *Tally) Add(o Tally) {
 
 // Total returns the total number of injected faults.
 func (t Tally) Total() int64 {
-	return t.Corruptions + t.Timeouts + t.Spikes + t.Stalls + t.Kills
+	return t.Corruptions + t.Dropped + t.Duplicated + t.Reordered + t.Spikes + t.Stalls + t.Kills
 }
 
 // String renders the tally for reports.
 func (t Tally) String() string {
-	return fmt.Sprintf("corruptions=%d timeouts=%d spikes=%d stalls=%d kills=%d",
-		t.Corruptions, t.Timeouts, t.Spikes, t.Stalls, t.Kills)
+	return fmt.Sprintf("corruptions=%d dropped=%d duplicated=%d reordered=%d spikes=%d stalls=%d kills=%d",
+		t.Corruptions, t.Dropped, t.Duplicated, t.Reordered, t.Spikes, t.Stalls, t.Kills)
 }
 
-// nodeStream is one node's private injection state.  All fields are
-// touched only by the owning node's goroutine; tallies are read after the
-// machine quiesces.
+// nodeStream is one node's injection state.  rng and the delivery
+// tallies are guarded by Injector.mu; the trigger counters and the other
+// tallies are touched only by the node's own accesses.  Tallies are read
+// after the machine quiesces.
 type nodeStream struct {
 	rng      uint64
 	faults   int
@@ -184,11 +205,17 @@ type nodeStream struct {
 }
 
 // Injector is the per-machine fault-injection state.  Decision methods
-// must be called from the owning node's goroutine (the same discipline as
-// tempest's per-node counters); Tally only while the machine is quiescent.
+// take the node whose stream they draw from; Tally is for quiescent
+// machines only.
 type Injector struct {
 	plan  Plan
 	nodes []nodeStream
+
+	// mu guards the streams and the delivery tallies.  A message's
+	// sender need not be the node whose goroutine prices it (a home's
+	// forward leg is priced by the requester), and a failing run's
+	// nodes unwind concurrently.
+	mu sync.Mutex
 }
 
 // NewInjector creates an injector for p nodes executing plan.
@@ -209,6 +236,8 @@ func (in *Injector) Plan() Plan { return in.plan }
 // Tally sums the injected-fault tallies across nodes.  Call only while
 // the machine is quiescent.
 func (in *Injector) Tally() Tally {
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	var t Tally
 	for i := range in.nodes {
 		t.Add(in.nodes[i].tally)
@@ -217,10 +246,21 @@ func (in *Injector) Tally() Tally {
 }
 
 // NodeTally returns node i's injected-fault tally (quiescent only).
-func (in *Injector) NodeTally(i int) Tally { return in.nodes[i].tally }
+func (in *Injector) NodeTally(i int) Tally {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.nodes[i].tally
+}
 
 // next advances node's stream and returns the next 64-bit value.
 func (in *Injector) next(node int) uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.step(node)
+}
+
+// step is next with mu held.
+func (in *Injector) step(node int) uint64 {
 	s := &in.nodes[node]
 	s.rng += 0x9e3779b97f4a7c15
 	return mix64(s.rng)
@@ -261,14 +301,64 @@ func (in *Injector) CorruptBytes(node int, data []byte) {
 	data[bit/8] ^= 1 << (bit % 8)
 }
 
-// TransientTimeout decides whether node's next remote request round trip
-// is dropped (the requester times out and must re-send).
-func (in *Injector) TransientTimeout(node int) bool {
-	if !in.roll(node, in.plan.TransientPerMil) {
-		return false
+// Delivery is the fate of one injected message.
+type Delivery uint8
+
+const (
+	// Delivered: the message arrives intact, in order, exactly once.
+	Delivered Delivery = iota
+	// Dropped: the message is lost; the sender times out and must
+	// retransmit.
+	Dropped
+	// Duplicated: the message arrives twice; the receiver's sequence
+	// numbers discard the second copy.
+	Duplicated
+	// Reordered: the message arrives ahead of an earlier one; the
+	// receiver holds it until the gap fills (virtual-time resequencing,
+	// no extra latency charged).
+	Reordered
+)
+
+func (d Delivery) String() string {
+	switch d {
+	case Delivered:
+		return "delivered"
+	case Dropped:
+		return "dropped"
+	case Duplicated:
+		return "duplicated"
+	case Reordered:
+		return "reordered"
+	default:
+		return fmt.Sprintf("Delivery(%d)", uint8(d))
 	}
-	in.nodes[node].tally.Timeouts++
-	return true
+}
+
+// Deliver draws the fate of src's next injected message from src's
+// stream, tallying any injected fault.  A plan with no delivery-fault
+// rate draws nothing and delivers everything.
+func (in *Injector) Deliver(src int) Delivery {
+	p := &in.plan
+	if !p.Lossy() {
+		return Delivered
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	v := in.step(src) % 1000
+	t := &in.nodes[src].tally
+	switch {
+	case v < uint64(p.DropPerMil):
+		t.Dropped++
+		return Dropped
+	case v < uint64(p.DropPerMil+p.DupPerMil):
+		t.Duplicated++
+		return Duplicated
+	case v < uint64(p.DropPerMil+p.DupPerMil+p.ReorderPerMil):
+		t.Reordered++
+		return Reordered
+	default:
+		return Delivered
+	}
 }
 
 // OccupancySpike decides whether the home handler serving node's next
@@ -380,7 +470,7 @@ var ErrRetryExhausted = errors.New("fault: recovery retry budget exhausted")
 // and became unrecoverable.
 type RetryExhaustedError struct {
 	Node     int
-	Op       string // "block transfer" or "remote request"
+	Op       string // "block transfer" or "retransmission"
 	Block    uint32
 	Attempts int
 }

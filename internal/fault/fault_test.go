@@ -3,10 +3,11 @@ package fault
 import "testing"
 
 // TestStreamsDeterministic: two injectors built from the same plan make
-// identical decisions — the property the chaos harness's exact-count
+// identical decisions — the property the fault matrix's exact-count
 // assertions rest on.
 func TestStreamsDeterministic(t *testing.T) {
-	plan := Plan{Seed: 42, CorruptPerMil: 100, TransientPerMil: 200, SpikePerMil: 50, SpikeCycles: 7, StallPerMil: 30, StallCycles: 9}
+	plan := Plan{Seed: 42, CorruptPerMil: 100, DropPerMil: 100, DupPerMil: 50, ReorderPerMil: 50,
+		SpikePerMil: 50, SpikeCycles: 7, StallPerMil: 30, StallCycles: 9}
 	a := NewInjector(4, plan)
 	b := NewInjector(4, plan)
 	for i := 0; i < 10000; i++ {
@@ -14,8 +15,8 @@ func TestStreamsDeterministic(t *testing.T) {
 		if a.CorruptTransfer(node) != b.CorruptTransfer(node) {
 			t.Fatalf("CorruptTransfer diverged at step %d", i)
 		}
-		if a.TransientTimeout(node) != b.TransientTimeout(node) {
-			t.Fatalf("TransientTimeout diverged at step %d", i)
+		if a.Deliver(node) != b.Deliver(node) {
+			t.Fatalf("Deliver diverged at step %d", i)
 		}
 	}
 	if a.Tally() != b.Tally() {
@@ -41,6 +42,138 @@ func TestStreamsDecorrelated(t *testing.T) {
 	// agree always.
 	if same > draws*9/10 {
 		t.Fatalf("node streams look identical: %d/%d draws agree", same, draws)
+	}
+}
+
+// TestDeliverDeterministic: the fate sequence a sender draws is a pure
+// function of (seed, sender, draw index), independent of what other
+// senders draw in between.
+func TestDeliverDeterministic(t *testing.T) {
+	plan := Plan{Seed: 42, DropPerMil: 100, DupPerMil: 100, ReorderPerMil: 100}
+	a := NewInjector(4, plan)
+	b := NewInjector(4, plan)
+	var seqA, seqB []Delivery
+	for i := 0; i < 200; i++ {
+		seqA = append(seqA, a.Deliver(1))
+	}
+	for i := 0; i < 200; i++ {
+		// Interleave other senders' draws; sender 1's stream must not care.
+		b.Deliver(0)
+		seqB = append(seqB, b.Deliver(1))
+		b.CorruptTransfer(3)
+	}
+	for i := range seqA {
+		if seqA[i] != seqB[i] {
+			t.Fatalf("draw %d: %v vs %v under interleaving", i, seqA[i], seqB[i])
+		}
+	}
+	if a.NodeTally(1) != b.NodeTally(1) {
+		t.Fatalf("sender tallies diverged: %v vs %v", a.NodeTally(1), b.NodeTally(1))
+	}
+}
+
+// TestDeliverSeedsDiffer: different seeds inject different patterns.
+func TestDeliverSeedsDiffer(t *testing.T) {
+	mk := func(seed uint64) []Delivery {
+		in := NewInjector(4, Plan{Seed: seed, DropPerMil: 100, DupPerMil: 100, ReorderPerMil: 100})
+		var seq []Delivery
+		for i := 0; i < 200; i++ {
+			seq = append(seq, in.Deliver(1))
+		}
+		return seq
+	}
+	a, b := mk(42), mk(43)
+	same := true
+	for i := range a {
+		if a[i] != b[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("seeds 42 and 43 injected identical delivery patterns")
+	}
+}
+
+// TestDeliverTallyMatchesDraws: every non-clean fate is tallied, and the
+// tally sums across senders.
+func TestDeliverTallyMatchesDraws(t *testing.T) {
+	in := NewInjector(3, Plan{Seed: 7, DropPerMil: 150, DupPerMil: 150, ReorderPerMil: 150})
+	var want Tally
+	for i := 0; i < 300; i++ {
+		switch in.Deliver(i % 3) {
+		case Dropped:
+			want.Dropped++
+		case Duplicated:
+			want.Duplicated++
+		case Reordered:
+			want.Reordered++
+		}
+	}
+	if got := in.Tally(); got != want {
+		t.Fatalf("tally %v, want %v (from draws)", got, want)
+	}
+	if want.Total() == 0 {
+		t.Fatal("450‰ fault rate injected nothing in 300 draws; stream is broken")
+	}
+	sum := in.NodeTally(0)
+	sum.Add(in.NodeTally(1))
+	sum.Add(in.NodeTally(2))
+	if sum != want {
+		t.Fatalf("per-sender tallies sum to %v, want %v", sum, want)
+	}
+}
+
+// TestDeliverZeroRateDrawsNothing: a plan without delivery-fault rates
+// delivers everything, tallies nothing, and leaves the node streams
+// untouched — so adding message traffic never moves the plan's other
+// decisions.
+func TestDeliverZeroRateDrawsNothing(t *testing.T) {
+	plan := Plan{Seed: 9, CorruptPerMil: 300}
+	if plan.Lossy() {
+		t.Fatal("plan without delivery rates reports Lossy")
+	}
+	a := NewInjector(2, plan)
+	b := NewInjector(2, plan)
+	for i := 0; i < 100; i++ {
+		if d := a.Deliver(i % 2); d != Delivered {
+			t.Fatalf("zero delivery rate classified %v", d)
+		}
+		if a.CorruptTransfer(i%2) != b.CorruptTransfer(i%2) {
+			t.Fatalf("Deliver advanced the stream at step %d", i)
+		}
+	}
+	if got := a.Tally(); got.Dropped+got.Duplicated+got.Reordered != 0 {
+		t.Fatalf("zero delivery rate tallied %v", got)
+	}
+}
+
+// TestDeliverCertainDrop: DropPerMil 1000 drops every message.
+func TestDeliverCertainDrop(t *testing.T) {
+	plan := Plan{Seed: 3, DropPerMil: 1000}
+	if !plan.Lossy() {
+		t.Fatal("plan with a drop rate does not report Lossy")
+	}
+	in := NewInjector(2, plan)
+	for i := 0; i < 100; i++ {
+		if d := in.Deliver(i % 2); d != Dropped {
+			t.Fatalf("certain drop delivered %v at draw %d", d, i)
+		}
+	}
+	if got := in.Tally().Dropped; got != 100 {
+		t.Fatalf("Dropped = %d, want 100", got)
+	}
+}
+
+// TestDeliveryString covers the fate names used in reports.
+func TestDeliveryString(t *testing.T) {
+	for d, want := range map[Delivery]string{
+		Delivered: "delivered", Dropped: "dropped",
+		Duplicated: "duplicated", Reordered: "reordered", Delivery(9): "Delivery(9)",
+	} {
+		if d.String() != want {
+			t.Errorf("Delivery(%d).String() = %q, want %q", uint8(d), d.String(), want)
+		}
 	}
 }
 

@@ -42,7 +42,6 @@ type BenchRecord struct {
 	// fault-free runs and omitted from their JSON, so historical BENCH
 	// files and benchdiff comparisons are unaffected.
 	FaultCorruptions int64 `json:"fault_corruptions,omitempty"`
-	FaultTimeouts    int64 `json:"fault_timeouts,omitempty"`
 	FaultSpikes      int64 `json:"fault_spikes,omitempty"`
 	FaultStalls      int64 `json:"fault_stalls,omitempty"`
 	FaultKills       int64 `json:"fault_kills,omitempty"`
@@ -126,7 +125,6 @@ func benchFile(cfg workloads.Config, scale int, rows []map[cstar.System]workload
 				MaxLinkBusy:    r.Links.MaxBusy,
 
 				FaultCorruptions: r.Faults.Corruptions,
-				FaultTimeouts:    r.Faults.Timeouts,
 				FaultSpikes:      r.Faults.Spikes,
 				FaultStalls:      r.Faults.Stalls,
 				FaultKills:       r.Faults.Kills,

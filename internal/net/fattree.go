@@ -20,7 +20,6 @@ import (
 // ordered, so queueing outcomes — and therefore cycle totals — vary
 // run to run at P>1.  Message and byte counters remain deterministic.
 type FatTree struct {
-	lossPort
 	cfg    Config
 	cost   cost.Model
 	p      int

@@ -79,8 +79,8 @@ type Counters struct {
 	// under the uniform model).
 	QueueCycles int64
 	// Retransmits counts messages this node re-sent after a delivery
-	// fault dropped them (lossy runs only; see Loss and the tempest
-	// retransmission layer).
+	// fault dropped them (lossy fault plans only; see internal/fault and
+	// the tempest retransmission layer).
 	Retransmits int64
 	// RetransCycles counts the virtual cycles lost to those drops: the
 	// timeout window plus backoff per retransmission.
@@ -138,8 +138,8 @@ type Network interface {
 	// RoundTrip prices a blocking request/response exchange carrying
 	// payload data bytes on the reply.
 	RoundTrip(src, dst int, payload int64, now int64, c *Counters) int64
-	// Timeout prices a request whose reply never arrived (fault
-	// injection): the request is routed, the reply is not.
+	// Timeout prices a request whose reply never arrived (a dropped
+	// message): the request is routed, the reply is not.
 	Timeout(src, dst int, now int64, c *Counters) int64
 	// Forward prices the home-to-owner forward leg of a three-hop miss.
 	Forward(src, dst int, now int64, c *Counters) int64
@@ -157,15 +157,6 @@ type Network interface {
 	Barrier(node int, c *Counters)
 	// LinkStats reports occupancy after the machine quiesces.
 	LinkStats() LinkStats
-	// SetLoss attaches a seeded delivery-fault model (nil detaches);
-	// with none attached every message is delivered.
-	SetLoss(l *Loss)
-	// Deliver classifies the fate of src's next injected message under
-	// the attached loss model.  Pricing methods never consult it
-	// themselves — the retransmission layer in internal/tempest draws
-	// the fate first and then prices the consequences through the
-	// model.
-	Deliver(src, dst int) Delivery
 }
 
 // Config selects and parameterizes a network model.  The zero value

@@ -8,7 +8,6 @@ import "lcm/internal/cost"
 // default simulator configuration is bit-identical — in counters and in
 // virtual cycles — to the pre-net golden results.
 type Uniform struct {
-	lossPort
 	c      cost.Model
 	header int64
 }

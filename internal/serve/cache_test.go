@@ -79,8 +79,8 @@ func TestCacheKeyTupleSensitivity(t *testing.T) {
 		seen[k] = name
 	}
 
-	// Fault plan and recovery seeds are part of the recovery tuple.
-	rec := JobSpec{Kind: "recovery", P: 4, Scale: 16, FaultPlan: "drop-1pct"}
+	// Fault plan and matrix seeds are part of the faults tuple.
+	rec := JobSpec{Kind: "faults", P: 4, Scale: 16, FaultPlan: "drop-1pct"}
 	recFlip := rec
 	recFlip.FaultPlan = "dup-storm"
 	recSeeds := rec
@@ -89,7 +89,7 @@ func TestCacheKeyTupleSensitivity(t *testing.T) {
 		t.Errorf("flipping fault_plan did not change the key")
 	}
 	if keyOf(t, rec) == keyOf(t, recSeeds) {
-		t.Errorf("flipping recovery seeds did not change the key")
+		t.Errorf("flipping fault-matrix seeds did not change the key")
 	}
 }
 
@@ -148,9 +148,10 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{Kind: "grid", Scale: -1},
 		{Kind: "grid", Scheduler: "cooperative"},
 		{Kind: "grid", Net: "torus"},
-		{Kind: "grid", FaultPlan: "light"}, // fault plans are chaos/recovery-only
-		{Kind: "chaos", FaultPlan: "nonexistent"},
-		{Kind: "recovery", FaultPlan: "nonexistent"},
+		{Kind: "grid", FaultPlan: "light"}, // fault plans are faults-only
+		{Kind: "faults", FaultPlan: "nonexistent"},
+		{Kind: "chaos"},    // merged into faults
+		{Kind: "recovery"}, // merged into faults
 		{Kind: "check", Nodes: 9},
 		{Kind: "check", Protocol: "mesi"},
 		{Kind: "grid", KVSkew: -0.5},

@@ -60,32 +60,18 @@ func buildConfig(sp JobSpec) workloads.Config {
 	return cfg
 }
 
-// chaosPlans resolves a chaos fault-plan name ("" = all defaults).
-func chaosPlans(name string) ([]harness.ChaosPlan, error) {
-	all := harness.DefaultChaosPlans()
+// faultPlans resolves a fault-matrix plan name ("" = all defaults).
+func faultPlans(name string) ([]harness.FaultPlan, error) {
+	all := harness.DefaultFaultPlans()
 	if name == "" {
 		return all, nil
 	}
 	for _, p := range all {
 		if p.Name == name {
-			return []harness.ChaosPlan{p}, nil
+			return []harness.FaultPlan{p}, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown chaos fault_plan %q", name)
-}
-
-// recoveryPlans resolves a recovery plan name ("" = all defaults).
-func recoveryPlans(name string) ([]harness.RecoveryPlan, error) {
-	all := harness.DefaultRecoveryPlans()
-	if name == "" {
-		return all, nil
-	}
-	for _, p := range all {
-		if p.Name == name {
-			return []harness.RecoveryPlan{p}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown recovery fault_plan %q", name)
+	return nil, fmt.Errorf("unknown fault_plan %q", name)
 }
 
 // checkSystems resolves a model-checker protocol selector.
@@ -103,8 +89,8 @@ func checkSystems(name string) ([]cstar.System, error) {
 	return nil, fmt.Errorf("unknown protocol %q (want copying, scc, mcc or all)", name)
 }
 
-// verdict is the deterministic result body of chaos and recovery jobs:
-// the campaign configuration and its assertion outcome.  All failure
+// verdict is the deterministic result body of faults jobs: the matrix
+// configuration and its assertion outcome.  All failure
 // text derives from simulation observables, so the bytes are as
 // cacheable as a grid cell's.
 type verdict struct {
@@ -171,27 +157,16 @@ func (s *Server) execute(j *Job) {
 	case "netsweep":
 		suite.DefaultNetSweep()
 		body, ctype = out.Bytes(), "text/plain; charset=utf-8"
-	case "chaos":
-		plans, _ := chaosPlans(sp.FaultPlan)
+	case "faults":
+		plans, _ := faultPlans(sp.FaultPlan)
 		names := make([]string, len(plans))
 		for i, p := range plans {
 			names[i] = p.Name
 		}
-		cerr := suite.RunChaos(plans)
+		ferr := suite.RunFaults(plans, sp.Seeds)
 		body, err = json.MarshalIndent(verdict{
-			Schema: "lcmd-chaos/1", Kind: sp.Kind, P: sp.P, Scale: sp.Scale,
-			Plans: names, OK: cerr == nil, Failures: failureLines(cerr),
-		}, "", "  ")
-	case "recovery":
-		plans, _ := recoveryPlans(sp.FaultPlan)
-		names := make([]string, len(plans))
-		for i, p := range plans {
-			names[i] = p.Name
-		}
-		rerr := suite.RunRecovery(plans, sp.Seeds)
-		body, err = json.MarshalIndent(verdict{
-			Schema: "lcmd-recovery/1", Kind: sp.Kind, P: sp.P, Scale: sp.Scale,
-			Plans: names, Seeds: sp.Seeds, OK: rerr == nil, Failures: failureLines(rerr),
+			Schema: "lcmd-faults/1", Kind: sp.Kind, P: sp.P, Scale: sp.Scale,
+			Plans: names, Seeds: sp.Seeds, OK: ferr == nil, Failures: failureLines(ferr),
 		}, "", "  ")
 	case "check":
 		body, err = runCheck(sp)

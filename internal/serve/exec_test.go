@@ -3,26 +3,21 @@ package serve
 import (
 	"encoding/json"
 	"testing"
+
+	"lcm/internal/harness"
 )
 
 func TestPlanAndProtocolSelectors(t *testing.T) {
-	if plans, err := chaosPlans(""); err != nil || len(plans) < 2 {
-		t.Errorf("chaosPlans(\"\") = %d plans, %v; want all defaults", len(plans), err)
+	if plans, err := faultPlans(""); err != nil || len(plans) != len(harness.DefaultFaultPlans()) {
+		t.Errorf("faultPlans(\"\") = %d plans, %v; want all defaults", len(plans), err)
 	}
-	if plans, err := chaosPlans("heavy"); err != nil || len(plans) != 1 || plans[0].Name != "heavy" {
-		t.Errorf("chaosPlans(heavy) = %v, %v", plans, err)
+	for _, name := range []string{"heavy", "dup-storm", "kill-abort"} {
+		if plans, err := faultPlans(name); err != nil || len(plans) != 1 || plans[0].Name != name {
+			t.Errorf("faultPlans(%s) = %v, %v", name, plans, err)
+		}
 	}
-	if _, err := chaosPlans("zap"); err == nil {
-		t.Errorf("chaosPlans accepted an unknown plan")
-	}
-	if plans, err := recoveryPlans(""); err != nil || len(plans) < 2 {
-		t.Errorf("recoveryPlans(\"\") = %d plans, %v; want all defaults", len(plans), err)
-	}
-	if plans, err := recoveryPlans("dup-storm"); err != nil || len(plans) != 1 || plans[0].Name != "dup-storm" {
-		t.Errorf("recoveryPlans(dup-storm) = %v, %v", plans, err)
-	}
-	if _, err := recoveryPlans("zap"); err == nil {
-		t.Errorf("recoveryPlans accepted an unknown plan")
+	if _, err := faultPlans("zap"); err == nil {
+		t.Errorf("faultPlans accepted an unknown plan")
 	}
 	for name, n := range map[string]int{"": 3, "all": 3, "copying": 1, "scc": 1, "mcc": 1} {
 		systems, err := checkSystems(name)

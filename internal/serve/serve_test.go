@@ -462,6 +462,26 @@ func TestFreerunNeverCached(t *testing.T) {
 	}
 }
 
+// A request body over the 1 MiB bound is refused with a structured 413
+// before any of it is decoded.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := `{"kind":"grid","cells":["` + strings.Repeat("x", maxSpecBytes) + `"]}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	var e struct{ Error string }
+	derr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("oversized submit = %d %q (%v), want a JSON 413", resp.StatusCode, e.Error, derr)
+	}
+	if _, list := get(t, ts, "/jobs"); strings.TrimSpace(string(list)) != "[]" {
+		t.Fatalf("refused submission registered a job: %s", list)
+	}
+}
+
 // Model-checker jobs produce their deterministic report and are cached
 // like any other pure tuple.
 func TestCheckJob(t *testing.T) {
@@ -509,6 +529,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"kind":"grid","surprise":true}`:        "", // unknown fields are errors
 		`not json`:                               "",
 		`{"kind":"grid","par":4}`:                "par was removed",
+		`{"kind":"grid"} {"kind":"check"}`:       "trailing data",
+		`{"kind":"grid"}}`:                       "trailing data",
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -533,8 +555,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 }
 
 // The non-grid campaign kinds run end to end: netsweep's rendered
-// table is the (cacheable) result body, and chaos/recovery produce
-// their deterministic verdict JSON.
+// table is the (cacheable) result body, and faults jobs — a chaos plan
+// and a recovery plan of the one fault matrix — produce their
+// deterministic verdict JSON.
 func TestNetsweepChaosRecoveryJobs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
@@ -563,35 +586,24 @@ func TestNetsweepChaosRecoveryJobs(t *testing.T) {
 		t.Errorf("netsweep result does not contain the sweep table: %.200s", body)
 	}
 
-	code, ch := submit(t, ts, JobSpec{Kind: "chaos", P: 4, Scale: 64, FaultPlan: "light"})
-	if code != http.StatusAccepted {
-		t.Fatalf("chaos submit = %d, want 202", code)
-	}
-	progress(t, ts, ch.ID)
-	_, _, body = result(t, ts, ch.ID)
-	var v struct {
-		Schema string   `json:"schema"`
-		Plans  []string `json:"plans"`
-		OK     bool     `json:"ok"`
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		t.Fatalf("unmarshal chaos verdict: %v in %.200s", err, body)
-	}
-	if v.Schema != "lcmd-chaos/1" || !v.OK || len(v.Plans) != 1 || v.Plans[0] != "light" {
-		t.Errorf("chaos verdict = %+v, want passing lcmd-chaos/1 for plan light", v)
-	}
-
-	code, rc := submit(t, ts, JobSpec{Kind: "recovery", P: 4, Scale: 64, FaultPlan: "drop-1pct", Seeds: []uint64{1}})
-	if code != http.StatusAccepted {
-		t.Fatalf("recovery submit = %d, want 202", code)
-	}
-	progress(t, ts, rc.ID)
-	_, _, body = result(t, ts, rc.ID)
-	if err := json.Unmarshal(body, &v); err != nil {
-		t.Fatalf("unmarshal recovery verdict: %v in %.200s", err, body)
-	}
-	if v.Schema != "lcmd-recovery/1" || !v.OK {
-		t.Errorf("recovery verdict = %+v, want passing lcmd-recovery/1", v)
+	for _, plan := range []string{"light", "drop-1pct"} {
+		code, fj := submit(t, ts, JobSpec{Kind: "faults", P: 4, Scale: 64, FaultPlan: plan, Seeds: []uint64{1}})
+		if code != http.StatusAccepted {
+			t.Fatalf("faults %s submit = %d, want 202", plan, code)
+		}
+		progress(t, ts, fj.ID)
+		_, _, body = result(t, ts, fj.ID)
+		var v struct {
+			Schema string   `json:"schema"`
+			Plans  []string `json:"plans"`
+			OK     bool     `json:"ok"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatalf("unmarshal faults verdict: %v in %.200s", err, body)
+		}
+		if v.Schema != "lcmd-faults/1" || !v.OK || len(v.Plans) != 1 || v.Plans[0] != plan {
+			t.Errorf("faults verdict = %+v, want passing lcmd-faults/1 for plan %s", v, plan)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -147,16 +149,42 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxSpecBytes bounds a submitted request body; a real job spec is a
+// few hundred bytes.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads exactly one JSON job spec from the request body,
+// refusing bodies over maxSpecBytes (413), and unknown fields and
+// trailing data (400).  On error it returns the HTTP status to answer.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, int, error) {
+	var spec JobSpec
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return spec, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+		}
+		return spec, http.StatusBadRequest, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, http.StatusBadRequest, err
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		return spec, http.StatusBadRequest, errors.New("trailing data after the JSON object")
+	}
+	return spec, 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server draining: not accepting jobs")
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	spec, code, err := decodeSpec(w, r)
+	if err != nil {
+		writeError(w, code, "bad job spec: %v", err)
 		return
 	}
 	if err := spec.Normalize(); err != nil {

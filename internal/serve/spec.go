@@ -1,6 +1,6 @@
 // Package serve runs the simulator as a long-running service: harness
-// campaigns (grid cells, the interconnect sweep, the chaos and recovery
-// matrices, the protocol model checker) become submitted jobs behind a
+// campaigns (grid cells, the interconnect sweep, the fault matrix, the
+// protocol model checker) become submitted jobs behind a
 // bounded-concurrency queue with streaming NDJSON progress, a
 // content-addressed result cache keyed on the full deterministic run
 // tuple, and a Prometheus-text /metrics surface exporting the per-node
@@ -30,9 +30,8 @@ import (
 // omits them normalize to the same tuple and hit the same cache entry.
 type JobSpec struct {
 	// Kind selects the campaign: "grid" (Table-1 cells), "netsweep"
-	// (interconnect sensitivity sweep), "chaos" (fault-injection
-	// campaign), "recovery" (crash-recovery matrix) or "check" (protocol
-	// model checker).
+	// (interconnect sensitivity sweep), "faults" (the fault matrix) or
+	// "check" (protocol model checker).
 	Kind string `json:"kind"`
 
 	// Cells restricts a grid job to the named cells ("Stencil-static",
@@ -79,11 +78,11 @@ type JobSpec struct {
 	KVSkew    float64 `json:"kv_skew,omitempty"`
 	KVReshard int     `json:"kv_reshard,omitempty"`
 
-	// FaultPlan names the chaos plan ("light", "heavy") or recovery plan
-	// ("kill-at-barrier", "drop-1pct", ...); empty means every default
-	// plan.  Part of the deterministic tuple.
+	// FaultPlan names one fault-matrix plan ("light", "kill-at-barrier",
+	// "drop-1pct", ...); empty means every default plan.  Part of the
+	// deterministic tuple.
 	FaultPlan string `json:"fault_plan,omitempty"`
-	// Seeds are the recovery-matrix seeds (default [1 2]).
+	// Seeds are the fault-matrix seeds (default [1 2]).
 	Seeds []uint64 `json:"seeds,omitempty"`
 
 	// The model-checker tuple ("check" jobs).
@@ -102,7 +101,7 @@ const specSchema = "lcmd/1"
 
 // validKinds lists the campaigns the server runs.
 var validKinds = map[string]bool{
-	"grid": true, "netsweep": true, "chaos": true, "recovery": true, "check": true,
+	"grid": true, "netsweep": true, "faults": true, "check": true,
 }
 
 // Normalize applies defaults and validates the spec in place, so that
@@ -111,7 +110,7 @@ var validKinds = map[string]bool{
 // response.
 func (sp *JobSpec) Normalize() error {
 	if !validKinds[sp.Kind] {
-		return fmt.Errorf("unknown kind %q (want grid, netsweep, chaos, recovery or check)", sp.Kind)
+		return fmt.Errorf("unknown kind %q (want grid, netsweep, faults or check)", sp.Kind)
 	}
 	if sp.P == 0 {
 		sp.P = 32
@@ -161,14 +160,10 @@ func (sp *JobSpec) Normalize() error {
 	switch sp.Kind {
 	case "grid", "netsweep":
 		if sp.FaultPlan != "" {
-			return fmt.Errorf("fault_plan applies only to chaos and recovery jobs")
+			return fmt.Errorf("fault_plan applies only to faults jobs")
 		}
-	case "chaos":
-		if _, err := chaosPlans(sp.FaultPlan); err != nil {
-			return err
-		}
-	case "recovery":
-		if _, err := recoveryPlans(sp.FaultPlan); err != nil {
+	case "faults":
+		if _, err := faultPlans(sp.FaultPlan); err != nil {
 			return err
 		}
 		if len(sp.Seeds) == 0 {

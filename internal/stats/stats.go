@@ -59,11 +59,8 @@ type NodeCounters struct {
 	// CorruptedTransfers counts block transfers that arrived corrupted
 	// (checksum mismatch) and were healed by re-fetch.
 	CorruptedTransfers int64
-	// TransientTimeouts counts remote request round trips that timed out
-	// and were re-sent.
-	TransientTimeouts int64
-	// FaultRetries counts recovery retries issued (re-fetches plus
-	// re-sends).
+	// FaultRetries counts re-fetches of corrupted transfers (message
+	// re-sends are Net.Retransmits).
 	FaultRetries int64
 	// BackoffCycles counts virtual cycles spent in retry backoff.
 	BackoffCycles int64
@@ -75,7 +72,7 @@ type NodeCounters struct {
 	StallCycles int64
 
 	// The fields below are the crash-recovery record; all stay zero
-	// unless the machine runs with Recovery enabled.
+	// unless the attached fault plan sets KillRecover.
 
 	// Checkpoints counts barrier-epoch checkpoints this node captured.
 	Checkpoints int64
@@ -116,7 +113,6 @@ func (c *NodeCounters) Add(o *NodeCounters) {
 	c.CopiedWords += o.CopiedWords
 	c.Evictions += o.Evictions
 	c.CorruptedTransfers += o.CorruptedTransfers
-	c.TransientTimeouts += o.TransientTimeouts
 	c.FaultRetries += o.FaultRetries
 	c.BackoffCycles += o.BackoffCycles
 	c.OccupancySpikes += o.OccupancySpikes

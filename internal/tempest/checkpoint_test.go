@@ -7,15 +7,16 @@ import (
 	"lcm/internal/memsys"
 )
 
-// recoveryMachine is newTestMachine with checkpoint/restart enabled.
+// recoveryMachine is newTestMachine with checkpoint/restart enabled by a
+// KillRecover plan that injects nothing.
 func recoveryMachine(t *testing.T, p int, words uint64) (*Machine, *memsys.Region) {
 	t.Helper()
 	m, r := newTestMachine(t, p, words)
-	m.Recovery = true
+	m.AttachFaults(fault.Plan{KillRecover: true})
 	return m, r
 }
 
-// TestCheckpointEveryBarrier: under Recovery every node snapshots at
+// TestCheckpointEveryBarrier: under KillRecover every node snapshots at
 // every barrier — one checkpoint per barrier crossed, covering the lines
 // the node had installed.
 func TestCheckpointEveryBarrier(t *testing.T) {
@@ -174,11 +175,11 @@ func TestRehomePastBudget(t *testing.T) {
 	}
 }
 
-// TestKillWithoutRecoverStillAborts: Recovery on the machine does not
-// soften a plan that never opted into KillRecover — the historical abort
-// path is preserved.
+// TestKillWithoutRecoverStillAborts: a kill plan that never opted into
+// KillRecover takes no checkpoints and aborts the machine — the
+// historical abort path is preserved.
 func TestKillWithoutRecoverStillAborts(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 64)
+	m, r := newTestMachine(t, 2, 64)
 	m.AttachFaults(fault.Plan{Seed: 6, KillNode: 1, KillAfter: 2})
 	err := m.RunErr(func(n *Node) {
 		touchAll(t, n, r, 64)
@@ -186,5 +187,10 @@ func TestKillWithoutRecoverStillAborts(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("run succeeded despite an unrecoverable kill")
+	}
+	for _, n := range m.Nodes {
+		if n.Ctr.Checkpoints != 0 {
+			t.Errorf("node %d took %d checkpoints without KillRecover", n.ID, n.Ctr.Checkpoints)
+		}
 	}
 }

@@ -6,26 +6,34 @@ import (
 )
 
 // This file wires the fault injector into the Tempest data-movement
-// boundary.  Three injection points cover the substrate failures the
+// boundary.  The injection points cover the substrate failures the
 // paper's real CM-5 hardware could exhibit:
 //
 //   - block-transfer corruption, detected by a per-transfer checksum and
 //     healed by bounded re-fetch with exponential backoff (deliverBlock);
-//   - transient remote-access failure: a fault-handler round trip times
-//     out and is re-sent up to a budget (preFault);
+//   - message drop, duplication and reordering, survived by the
+//     retransmission layer (retrans.go);
 //   - handler occupancy spikes and node stalls that stress the cost
-//     model without touching data (preFault).
+//     model without touching data (preFault);
+//   - node kills, aborting the machine or restarting from a checkpoint
+//     (preFault, Node.Barrier and checkpoint.go).
 //
 // All recovery is charged in virtual cycles and recorded in the node's
 // counters; injected faults never change program-visible data, so a run
 // under any recoverable plan is bit-identical to the fault-free run.
-// Exhausting a retry budget — or the plan's explicit kill — panics with a
+// Exhausting a retry budget — or an unrecoverable kill — panics with a
 // structured error that RunErr recovers into a per-node failure.
 
-// AttachFaults attaches a deterministic fault injector executing plan.
-// Call before Run; pass the zero Plan to model a perfect interconnect
-// with checksums still verified.
+// AttachFaults attaches a deterministic fault injector executing plan;
+// it may precede or follow SetNetwork.  A plan with delivery-fault rates
+// must be attached before Freeze, which interposes the retransmission
+// layer; other plans may also be attached to a frozen machine.  Pass the
+// zero Plan to model a perfect interconnect with checksums still
+// verified.
 func (m *Machine) AttachFaults(plan fault.Plan) *fault.Injector {
+	if m.frozen && plan.Lossy() {
+		panic("tempest: AttachFaults with delivery faults after Freeze")
+	}
 	m.Fault = fault.NewInjector(m.P, plan)
 	return m.Fault
 }
@@ -46,26 +54,12 @@ func (n *Node) preFault(b memsys.BlockID) {
 		n.Ctr.Stalls++
 		n.Ctr.StallCycles += cyc
 	}
-	if n.M.AS.HomeOf(b) == n.ID {
-		return // local fill: no messages to lose or spike
-	}
-	// Transient failure: the request round trip is lost, the requester
-	// times out (one full round trip of virtual time) and re-sends after
-	// exponential backoff, up to the retry budget.
-	for attempt := 1; f.TransientTimeout(n.ID); attempt++ {
-		if attempt > f.RetryBudget() {
-			panic(&fault.RetryExhaustedError{
-				Node: n.ID, Op: "remote request", Block: uint32(b), Attempts: attempt,
-			})
-		}
-		backoff := f.Backoff(attempt)
-		n.clock += n.M.Net.Timeout(n.ID, n.M.AS.HomeOf(b), n.Clock(), &n.Ctr.Net) + backoff
-		n.Ctr.TransientTimeouts++
-		n.Ctr.FaultRetries++
-		n.Ctr.BackoffCycles += backoff
+	home := n.M.AS.HomeOf(b)
+	if home == n.ID {
+		return // local fill: no home handler to spike
 	}
 	if cyc, ok := f.OccupancySpike(n.ID); ok {
-		n.M.Nodes[n.M.AS.HomeOf(b)].ChargeRemote(cyc)
+		n.M.Nodes[home].ChargeRemote(cyc)
 		n.Ctr.OccupancySpikes++
 	}
 }

@@ -25,10 +25,10 @@ func touchAll(t *testing.T, n *Node, r *memsys.Region, words uint64) {
 
 func chaosPlan() fault.Plan {
 	return fault.Plan{
-		Seed:            0xbeef,
-		CorruptPerMil:   300,
-		TransientPerMil: 300,
-		SpikePerMil:     200, SpikeCycles: 2500,
+		Seed:          0xbeef,
+		CorruptPerMil: 300,
+		DropPerMil:    300,
+		SpikePerMil:   200, SpikeCycles: 2500,
 		StallPerMil: 100, StallCycles: 4000,
 	}
 }
@@ -37,8 +37,9 @@ func chaosPlan() fault.Plan {
 // every node, returning the machine and the run error.
 func runFaulted(t *testing.T, plan fault.Plan, words uint64) (*Machine, error) {
 	t.Helper()
-	m, r := newTestMachine(t, 2, words)
+	m, r := newUnfrozenMachine(2, words)
 	m.AttachFaults(plan)
+	m.Freeze()
 	err := m.RunErr(func(n *Node) {
 		touchAll(t, n, r, words)
 		n.Barrier()
@@ -62,8 +63,8 @@ func TestFaultRecoveryInvisible(t *testing.T) {
 	if c.CorruptedTransfers != tally.Corruptions {
 		t.Fatalf("CorruptedTransfers = %d, injected %d", c.CorruptedTransfers, tally.Corruptions)
 	}
-	if c.TransientTimeouts != tally.Timeouts {
-		t.Fatalf("TransientTimeouts = %d, injected %d", c.TransientTimeouts, tally.Timeouts)
+	if c.Net.Retransmits != tally.Dropped {
+		t.Fatalf("Retransmits = %d, dropped %d", c.Net.Retransmits, tally.Dropped)
 	}
 	if c.OccupancySpikes != tally.Spikes {
 		t.Fatalf("OccupancySpikes = %d, injected %d", c.OccupancySpikes, tally.Spikes)
@@ -71,8 +72,8 @@ func TestFaultRecoveryInvisible(t *testing.T) {
 	if c.Stalls != tally.Stalls {
 		t.Fatalf("Stalls = %d, injected %d", c.Stalls, tally.Stalls)
 	}
-	if c.FaultRetries < tally.Corruptions+tally.Timeouts {
-		t.Fatalf("FaultRetries = %d < %d injected recoverable faults", c.FaultRetries, tally.Corruptions+tally.Timeouts)
+	if c.FaultRetries != tally.Corruptions {
+		t.Fatalf("FaultRetries = %d, want one re-fetch per corruption (%d)", c.FaultRetries, tally.Corruptions)
 	}
 	if tally.Stalls > 0 && c.StallCycles != tally.Stalls*4000 {
 		t.Fatalf("StallCycles = %d, want %d", c.StallCycles, tally.Stalls*4000)

@@ -8,10 +8,11 @@ import (
 )
 
 // This file is the sequence-numbered ack/retransmission layer that makes
-// the protocol survive an unreliable interconnect.  AttachLoss seeds the
-// active network model with delivery faults (drop/duplicate/reorder; see
-// net.Loss) and wraps it in reliableNet, which sits between every
-// protocol charge site and the model:
+// the protocol survive an unreliable interconnect.  When the attached
+// fault plan has a delivery-fault rate (drop/duplicate/reorder; see
+// fault.Plan.Lossy), FreezeErr wraps the machine's network model in
+// reliableNet, which sits between every protocol charge site and the
+// model:
 //
 //   - each message carries a per-sender sequence number; the receiver
 //     acks cumulatively;
@@ -28,11 +29,11 @@ import (
 //     same exchange, so only the event is counted.
 //
 // Wrapping the Network interface covers every protocol charge site —
-// stache fetches, LCM flushes and merges, invalidations, upgrades —
-// without touching protocol code.  Barriers ride the reliable control
-// network and pass through unclassified, as does Timeout (it prices an
-// exchange the fault injector already declared lost; reclassifying it
-// would double-inject).
+// stache fetches and forwards, LCM flushes and merges, invalidations,
+// upgrades, re-homing transfers — without touching protocol code.
+// Barriers ride the reliable control network and pass through
+// unclassified, as does Timeout (it prices an exchange already declared
+// lost; reclassifying it would double-inject).
 type reliableNet struct {
 	inner net.Network
 	f     *fault.Injector
@@ -51,26 +52,6 @@ func newReliableNet(inner net.Network, f *fault.Injector, p int) *reliableNet {
 	}
 }
 
-// AttachLoss attaches a seeded delivery-fault model to the machine's
-// network and interposes the retransmission layer.  Call after any
-// SetNetwork and before Run.  The retransmission layer reuses the fault
-// injector's timeout/backoff/budget discipline; a machine without
-// AttachFaults gets a zero-plan injector (defaults only, injecting
-// nothing itself).
-func (m *Machine) AttachLoss(cfg net.LossConfig) *net.Loss {
-	if m.frozen {
-		panic("tempest: AttachLoss after Freeze")
-	}
-	if m.Fault == nil {
-		m.AttachFaults(fault.Plan{})
-	}
-	l := net.NewLoss(cfg, m.P)
-	m.Net.SetLoss(l)
-	m.Net = newReliableNet(m.Net, m.Fault, m.P)
-	m.Loss = l
-	return l
-}
-
 // nextSeq issues the sequence number for src's next message.  Re-sends
 // of a dropped message reuse its number.
 func (r *reliableNet) nextSeq(src int) uint64 {
@@ -82,14 +63,14 @@ func (r *reliableNet) nextSeq(src int) uint64 {
 
 // delivered records the arrival of message seq from src, counting
 // duplicate discards and resequencing holds into c.
-func (r *reliableNet) delivered(src int, seq uint64, d net.Delivery, c *net.Counters) {
+func (r *reliableNet) delivered(src int, seq uint64, d fault.Delivery, c *net.Counters) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch d {
-	case net.Duplicated:
+	case fault.Duplicated:
 		// The second copy carries seq <= recvSeq and is discarded.
 		c.DupDelivered++
-	case net.Reordered:
+	case fault.Reordered:
 		c.ReorderHeld++
 	}
 	if seq > r.recvSeq[src] {
@@ -97,7 +78,7 @@ func (r *reliableNet) delivered(src int, seq uint64, d net.Delivery, c *net.Coun
 	}
 }
 
-// exchange runs one message exchange from src under the loss model:
+// exchange runs one message exchange from src under the fault plan:
 // dropped sends are retried with timeout + backoff until delivered or the
 // retry budget runs out; the surviving exchange is priced by price at the
 // virtual time it finally happens.
@@ -105,8 +86,8 @@ func (r *reliableNet) exchange(src, dst int, now int64, c *net.Counters, price f
 	seq := r.nextSeq(src)
 	var waste int64
 	for attempt := 1; ; attempt++ {
-		d := r.inner.Deliver(src, dst)
-		if d == net.Dropped {
+		d := r.f.Deliver(src)
+		if d == fault.Dropped {
 			if attempt > r.f.RetryBudget() {
 				panic(&fault.RetryExhaustedError{
 					Node: src, Op: "retransmission", Attempts: attempt,
@@ -134,8 +115,8 @@ func (r *reliableNet) RoundTrip(src, dst int, payload int64, now int64, c *net.C
 	})
 }
 
-// Timeout passes through: it prices an exchange the fault injector
-// already declared lost, so the loss model must not reclassify it.
+// Timeout passes through: it prices an exchange already declared lost,
+// so it must not be reclassified.
 func (r *reliableNet) Timeout(src, dst int, now int64, c *net.Counters) int64 {
 	return r.inner.Timeout(src, dst, now, c)
 }
@@ -176,10 +157,3 @@ func (r *reliableNet) Barrier(node int, c *net.Counters) { r.inner.Barrier(node,
 
 // LinkStats implements net.Network.
 func (r *reliableNet) LinkStats() net.LinkStats { return r.inner.LinkStats() }
-
-// SetLoss forwards to the wrapped model.
-func (r *reliableNet) SetLoss(l *net.Loss) { r.inner.SetLoss(l) }
-
-// Deliver reports what the layer guarantees: everything above it is
-// delivered exactly once, in order.
-func (r *reliableNet) Deliver(src, dst int) net.Delivery { return net.Delivered }

@@ -9,17 +9,17 @@ import (
 	"lcm/internal/net"
 )
 
-// lossSeed brute-forces a seed whose first draws for sender 0 under cfg
+// lossSeed brute-forces a seed whose first draws for sender 0 under plan
 // match the wanted fate pattern, so the closed-form charge tests can
-// script the loss model through its real randomness.
-func lossSeed(t *testing.T, cfg net.LossConfig, want []net.Delivery) uint64 {
+// script the fault plan through its real randomness.
+func lossSeed(t *testing.T, plan fault.Plan, want []fault.Delivery) uint64 {
 	t.Helper()
 	for seed := uint64(1); seed < 1_000_000; seed++ {
-		cfg.Seed = seed
-		l := net.NewLoss(cfg, 1)
+		plan.Seed = seed
+		in := fault.NewInjector(1, plan)
 		ok := true
 		for _, w := range want {
-			if l.Classify(0) != w {
+			if in.Deliver(0) != w {
 				ok = false
 				break
 			}
@@ -28,15 +28,13 @@ func lossSeed(t *testing.T, cfg net.LossConfig, want []net.Delivery) uint64 {
 			return seed
 		}
 	}
-	t.Fatalf("no seed under 1e6 yields %v at %v", want, cfg)
+	t.Fatalf("no seed under 1e6 yields %v at %v", want, plan)
 	return 0
 }
 
-func lossyNet(inner net.Network, cfg net.LossConfig, p int) (*reliableNet, *net.Loss, *fault.Injector) {
-	l := net.NewLoss(cfg, p)
-	inner.SetLoss(l)
-	f := fault.NewInjector(p, fault.Plan{})
-	return newReliableNet(inner, f, p), l, f
+func lossyNet(inner net.Network, plan fault.Plan, p int) (*reliableNet, *fault.Injector) {
+	f := fault.NewInjector(p, plan)
+	return newReliableNet(inner, f, p), f
 }
 
 // TestRetransDropCostUniform pins the closed-form recovery charge on the
@@ -46,9 +44,9 @@ func lossyNet(inner net.Network, cfg net.LossConfig, p int) (*reliableNet, *net.
 // 1 backoff + the payload term.
 func TestRetransDropCostUniform(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{DropPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Dropped, net.Delivered})
-	r, _, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), cfg, 2)
+	plan := fault.Plan{DropPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Dropped, fault.Delivered})
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), plan, 2)
 
 	var ctr net.Counters
 	got := r.RoundTrip(0, 1, 32, 0, &ctr)
@@ -82,9 +80,9 @@ func TestRetransDropCostUniform(t *testing.T) {
 // virtual times, plus the backoff penalty.
 func TestRetransDropCostFatTree(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{DropPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Dropped, net.Delivered})
-	r, _, f := lossyNet(net.NewFatTree(net.Config{Model: "fattree"}, 8, c), cfg, 8)
+	plan := fault.Plan{DropPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Dropped, fault.Delivered})
+	r, f := lossyNet(net.NewFatTree(net.Config{Model: "fattree"}, 8, c), plan, 8)
 
 	const now = 12345
 	var ctr net.Counters
@@ -107,9 +105,9 @@ func TestRetransDropCostFatTree(t *testing.T) {
 // zero protocol cost — and is counted, not retried.
 func TestRetransDuplicateIdempotent(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{DupPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Duplicated})
-	r, l, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), cfg, 2)
+	plan := fault.Plan{DupPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Duplicated})
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), plan, 2)
 
 	var ctr net.Counters
 	got := r.RoundTrip(0, 1, 32, 0, &ctr)
@@ -119,8 +117,8 @@ func TestRetransDuplicateIdempotent(t *testing.T) {
 	if ctr.DupDelivered != 1 || ctr.Retransmits != 0 {
 		t.Errorf("dup account: DupDelivered=%d Retransmits=%d, want 1/0", ctr.DupDelivered, ctr.Retransmits)
 	}
-	if l.Tally().Duplicated != 1 {
-		t.Errorf("loss tally %v, want one duplicate", l.Tally())
+	if f.Tally().Duplicated != 1 {
+		t.Errorf("fault tally %v, want one duplicate", f.Tally())
 	}
 }
 
@@ -129,9 +127,9 @@ func TestRetransDuplicateIdempotent(t *testing.T) {
 // virtual-time exchange.
 func TestRetransReorderHeld(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{ReorderPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Reordered})
-	r, _, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), cfg, 2)
+	plan := fault.Plan{ReorderPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Reordered})
+	r, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), plan, 2)
 
 	var ctr net.Counters
 	if got, want := r.RoundTrip(0, 1, 0, 0, &ctr), c.RemoteRoundTrip; got != want {
@@ -147,8 +145,8 @@ func TestRetransReorderHeld(t *testing.T) {
 // fault.ErrRetryExhausted.
 func TestRetransExhaustion(t *testing.T) {
 	c := cost.Default()
-	r, _, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
-		net.LossConfig{Seed: 1, DropPerMil: 1000}, 2)
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
+		fault.Plan{Seed: 1, DropPerMil: 1000}, 2)
 
 	defer func() {
 		v := recover()
@@ -175,24 +173,88 @@ func TestRetransExhaustion(t *testing.T) {
 }
 
 // TestReliableNetPassThrough checks the wrapper's non-exchange surface:
-// barriers and timeouts are never classified, and the wrapper reports
-// exactly-once delivery upward.
+// barriers and timeouts are never classified.
 func TestReliableNetPassThrough(t *testing.T) {
 	c := cost.Default()
-	r, l, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
-		net.LossConfig{Seed: 1, DropPerMil: 1000}, 2)
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
+		fault.Plan{Seed: 1, DropPerMil: 1000}, 2)
 	var ctr net.Counters
 	if got, want := r.Timeout(0, 1, 0, &ctr), c.RemoteRoundTrip; got != want {
 		t.Errorf("Timeout charged %d, want %d", got, want)
 	}
 	r.Barrier(0, &ctr)
-	if l.Tally().Total() != 0 {
-		t.Errorf("pass-through paths drew from the loss model: %v", l.Tally())
-	}
-	if r.Deliver(0, 1) != net.Delivered {
-		t.Error("reliable layer must guarantee delivery upward")
+	if f.Tally().Total() != 0 {
+		t.Errorf("pass-through paths drew from the fault plan: %v", f.Tally())
 	}
 	if r.Name() != "uniform" {
 		t.Errorf("Name = %q", r.Name())
 	}
+}
+
+// TestReliableNetPlacement: the retransmission layer is derived from the
+// attached plan at Freeze.  A plan without delivery-fault rates leaves
+// the bare timing model in place; a plan with a drop rate gets the
+// wrapper whether AttachFaults comes before or after SetNetwork, and the
+// wrapper draws from the plan on protocol messages.
+func TestReliableNetPlacement(t *testing.T) {
+	c := cost.Uniform(1)
+	models := map[string]func() net.Network{
+		"uniform": func() net.Network { return net.NewUniform(c, net.DefaultHeaderBytes) },
+		"fattree": func() net.Network { return net.NewFatTree(net.Config{Model: "fattree"}, 4, c) },
+	}
+	timing := fault.Plan{Seed: 1, CorruptPerMil: 100, StallPerMil: 100, StallCycles: 10, SpikePerMil: 100, SpikeCycles: 10}
+	lossy := fault.Plan{Seed: 1, DropPerMil: 1000}
+	for name, mk := range models {
+		m, _ := newUnfrozenMachine(4, 64)
+		nw := mk()
+		m.SetNetwork(nw)
+		m.AttachFaults(timing)
+		m.Freeze()
+		if m.Net != nw {
+			t.Errorf("%s: non-lossy plan wrapped the network in %T", name, m.Net)
+		}
+
+		for _, faultsFirst := range []bool{true, false} {
+			m, _ := newUnfrozenMachine(4, 64)
+			nw := mk()
+			if faultsFirst {
+				m.AttachFaults(lossy)
+				m.SetNetwork(nw)
+			} else {
+				m.SetNetwork(nw)
+				m.AttachFaults(lossy)
+			}
+			m.Freeze()
+			r, ok := m.Net.(*reliableNet)
+			if !ok || r.inner != nw {
+				t.Fatalf("%s (faults first %v): Net = %T, want reliableNet over the installed model", name, faultsFirst, m.Net)
+			}
+			// A certain drop exhausts the retry budget on any message kind.
+			func() {
+				defer func() {
+					if v := recover(); v == nil {
+						t.Errorf("%s: certain drop on a flush did not exhaust the retry budget", name)
+					}
+				}()
+				var ctr net.Counters
+				m.Net.Flush(0, 1, 32, 0, &ctr)
+			}()
+			if m.Fault.Tally().Dropped == 0 {
+				t.Errorf("%s: wrapper drew nothing from the plan", name)
+			}
+		}
+	}
+}
+
+// TestAttachLossyFaultsAfterFreezePanics: a plan with delivery-fault
+// rates attached to a frozen machine would silently skip the
+// retransmission layer, so it is refused.
+func TestAttachLossyFaultsAfterFreezePanics(t *testing.T) {
+	m, _ := newTestMachine(t, 2, 64)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AttachFaults with a drop rate after Freeze did not panic")
+		}
+	}()
+	m.AttachFaults(fault.Plan{DropPerMil: 10})
 }

@@ -180,28 +180,21 @@ type Machine struct {
 
 	// Fault, when non-nil, injects deterministic faults at the
 	// data-movement boundary (see internal/fault and faults.go).
-	// Attach with AttachFaults before Run.
+	// Attach with AttachFaults.  A plan with KillRecover also turns on
+	// crash recovery: every node snapshots its protocol state at each
+	// barrier epoch (see checkpoint.go), injected kills restart from the
+	// last checkpoint instead of aborting the machine, and a node killed
+	// past its restart budget hands its home regions to a live peer
+	// (degraded mode).  Nothing is charged without a plan, so fault-free
+	// runs stay bit-identical to historical results.
 	Fault *fault.Injector
 
 	// Net prices and accounts every protocol message (see internal/net).
 	// New installs the uniform model, which reproduces the historical
 	// flat charges bit-exactly; SetNetwork swaps in a topology-aware
-	// model before Run.  AttachLoss wraps whichever model is installed
-	// with the retransmission layer (see retrans.go).
+	// model before Freeze.  Under a lossy fault plan, Freeze wraps the
+	// installed model in the retransmission layer (see retrans.go).
 	Net net.Network
-
-	// Loss is the delivery-fault model attached by AttachLoss, nil on
-	// reliable runs.
-	Loss *net.Loss
-
-	// Recovery enables crash recovery: every node snapshots its protocol
-	// state at each barrier epoch (see checkpoint.go), injected kills
-	// under a KillRecover plan restart from the last checkpoint instead
-	// of aborting the machine, and a node killed past its restart budget
-	// hands its home regions to a live peer (degraded mode).  All
-	// recovery charges are gated on this flag, so fault-free runs stay
-	// bit-identical to historical results.  Set before Run.
-	Recovery bool
 
 	// Watchdog, when positive, bounds the wall-clock duration of any
 	// single barrier round: a round that stalls past the bound is
@@ -298,8 +291,11 @@ func (m *Machine) SetProtocol(p Protocol) {
 // Protocol returns the installed protocol.
 func (m *Machine) Protocol() Protocol { return m.protocol }
 
-// SetNetwork replaces the interconnect model.  Must precede Run.
+// SetNetwork replaces the interconnect model.  Must precede Freeze.
 func (m *Machine) SetNetwork(nw net.Network) {
+	if m.frozen {
+		panic("tempest: SetNetwork after Freeze")
+	}
 	if nw != nil {
 		m.Net = nw
 	}
@@ -340,6 +336,9 @@ func (m *Machine) FreezeErr() error {
 		return m.cfgErr
 	}
 	m.frozen = true
+	if m.Fault != nil && m.Fault.Plan().Lossy() {
+		m.Net = newReliableNet(m.Net, m.Fault, m.P)
+	}
 	m.AS.Freeze()
 	n := m.AS.NumBlocks()
 	m.locks = make([]sync.Mutex, n)
@@ -626,7 +625,7 @@ func (n *Node) Barrier() {
 	}
 	n.clock = c + n.M.Cost.Barrier
 	n.Ctr.Barriers++
-	if n.M.Recovery {
+	if f := n.M.Fault; f != nil && f.Plan().KillRecover {
 		// The epoch boundary is where the consistency contract makes
 		// node state meaningful, so it is the checkpoint point.
 		n.takeCheckpoint()

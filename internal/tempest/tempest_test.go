@@ -53,10 +53,17 @@ func (f *fakeProtocol) ReconcileCopies(n *Node) { n.Barrier() }
 
 func newTestMachine(t *testing.T, p int, words uint64) (*Machine, *memsys.Region) {
 	t.Helper()
+	m, r := newUnfrozenMachine(p, words)
+	m.Freeze()
+	return m, r
+}
+
+// newUnfrozenMachine is newTestMachine before Freeze, for tests that
+// attach state Freeze consumes.
+func newUnfrozenMachine(p int, words uint64) (*Machine, *memsys.Region) {
 	m := New(p, 32, cost.Uniform(1))
 	r := m.AS.Alloc("data", words*4, memsys.KindCoherent, memsys.Interleaved)
 	m.SetProtocol(&fakeProtocol{})
-	m.Freeze()
 	return m, r
 }
 

@@ -10,19 +10,23 @@
 // Usage:
 //
 //	lcmbench [-scale N] [-p N] [-blocksize N] [-verify] [-table1]
-//	         [-fig2] [-fig3] [-ablate] [-net=uniform|fattree] [-linkbw N]
-//	         [-nilat N] [-netsweep] [-faults] [-schedseed N] [-kvskew S]
-//	         [-kvreshard N]
+//	         [-cells LIST] [-ablate] [-sweeps] [-net=uniform|fattree]
+//	         [-linkbw N] [-nilat N] [-netsweep] [-faults] [-schedseed N]
+//	         [-kvskew S] [-kvreshard N]
 //
-// With no selection flags, all experiments run.  -cells selects
-// individual grid cells by name, including the serving-traffic cells
-// KV-read and KV-write (the sharded key-value workload); -kvskew and
-// -kvreshard tune the KV cells' Zipf skew and reshard cadence, and both
-// are part of the deterministic run tuple.  -net selects the
-// interconnect model (the default uniform model reproduces the historical
-// flat charges bit-exactly; fattree adds topology and queueing), and
-// -netsweep runs the contention sensitivity sweep.  Runs are scheduled by
-// the deterministic virtual-time scheduler (internal/sched): every
+// With no selection flags, the benchmark grid (Table 1 and Figures 2
+// and 3, which share one set of runs) and the ablations run; -table1
+// runs the grid alone and -ablate the ablations alone.  -cells runs the
+// named grid cells instead and prints Table 1 for them; it also selects
+// the serving-traffic cells KV-read and KV-write (the sharded key-value
+// workload), whose Zipf skew and reshard cadence -kvskew and -kvreshard
+// tune as part of the deterministic run tuple.  -sweeps adds the
+// extension sweeps (block size, processors, cache capacity, commit
+// strategy, interconnect).  -net selects the interconnect model (the
+// default uniform model reproduces the historical flat charges
+// bit-exactly; fattree adds topology and queueing), and -netsweep runs
+// only the contention sensitivity sweep.  Runs are scheduled by the
+// deterministic virtual-time scheduler (internal/sched): every
 // observable, simulated cycles included, is a pure function of the
 // configuration and -schedseed.  -faults runs the fault matrix instead:
 // every workload under every memory system under every seeded fault plan
@@ -35,10 +39,11 @@
 // kill-abort plan must end in a structured failure with diagnostics.
 // The exit status reports the verdict.
 //
-// Benchmark cells that fail to run — an invalid configuration (for
-// example -blocksize above the protocol's 256-byte element-tracking
-// limit) or a node error — are reported on stderr and make the exit
-// status 1, with or without -verify.
+// Runs that fail — an invalid configuration (for example -blocksize
+// above the protocol's 256-byte element-tracking limit) or a node error —
+// are reported as FAILED lines on stderr and make the exit status 1, with
+// or without -verify; so is an ablation whose check fails.  This holds for
+// the grid, -sweeps and -netsweep alike.
 package main
 
 import (
@@ -86,9 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p := fs.Int("p", 32, "number of simulated processors")
 	blockSize := fs.Int("blocksize", 0, "coherence block size in bytes (0 = paper default of 32; power of two, at most 256)")
 	verify := fs.Bool("verify", false, "check results against sequential references (slower)")
-	table1 := fs.Bool("table1", false, "run only Table 1 benchmarks")
-	fig2 := fs.Bool("fig2", false, "run only Figure 2 (Stencil)")
-	fig3 := fs.Bool("fig3", false, "run only Figure 3 (Adaptive/Threshold/Unstructured)")
+	table1 := fs.Bool("table1", false, "run only the benchmark grid (Table 1 and Figures 2-3), without the ablations")
 	ablate := fs.Bool("ablate", false, "run only the Section 7 ablations")
 	faults := fs.Bool("faults", false, "run only the fault matrix (corruption, message drop/duplicate/reorder, spikes, stalls, checkpointed restarts, degraded-mode re-homing, unrecoverable kill)")
 	sweeps := fs.Bool("sweeps", false, "also run the extension sweeps (block size, processors, cache capacity, interconnect); heavy at scale 1")
@@ -163,7 +166,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	if *netSweep {
-		s.DefaultNetSweep()
+		if err := s.DefaultNetSweep(); err != nil {
+			reportFailed(stderr, err)
+			return 1
+		}
 		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 		return 0
 	}
@@ -188,9 +194,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	all := *cells == "" && !*table1 && !*fig2 && !*fig3 && !*ablate
+	all := *cells == "" && !*table1 && !*ablate
 
-	if all || *table1 || *fig2 || *fig3 || len(cellSpecs) > 0 {
+	if all || *table1 || len(cellSpecs) > 0 {
 		var rows []map[cstar.System]workloads.Result
 		if len(cellSpecs) > 0 {
 			var err error
@@ -201,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			s.Table1(rows)
 		} else {
-			rows = s.RunPaperSelect(all || *table1, all || *fig2, all || *fig3)
+			rows = s.RunPaper()
 		}
 		if *csvPath != "" {
 			if err := writeFile(*csvPath, func(f *os.File) error { return harness.WriteCSV(f, rows) }); err != nil {
@@ -244,12 +250,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "all benchmark results verified against sequential references")
 		}
 	}
+	code := 0
 	if all || *ablate {
-		s.RunAblations()
+		if err := s.RunAblations(); err != nil {
+			reportFailed(stderr, err)
+			code = 1
+		}
 	}
 	if *sweeps {
-		s.RunSweeps()
+		if err := s.RunSweeps(); err != nil {
+			reportFailed(stderr, err)
+			code = 1
+		}
 	}
 	fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-	return 0
+	return code
+}
+
+// reportFailed prints one FAILED line on w for every error joined into
+// err (each names its failed run or check).
+func reportFailed(w io.Writer, err error) {
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range joined.Unwrap() {
+			reportFailed(w, e)
+		}
+		return
+	}
+	fmt.Fprintf(w, "FAILED %v\n", err)
 }

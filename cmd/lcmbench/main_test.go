@@ -11,12 +11,28 @@ import (
 // failed cells into exit status 1 with a diagnostic on stderr.
 func TestBlockSizeConfigErrorExitsOne(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-fig2", "-scale", "64", "-p", "2", "-blocksize", "512"}, &out, &errOut)
+	code := run([]string{"-cells", "Stencil-static,Stencil-dynamic", "-scale", "64", "-p", "2", "-blocksize", "512"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("run() = %d, want exit code 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	if !strings.Contains(errOut.String(), "block size 512 exceeds 256 bytes") {
 		t.Errorf("stderr missing the config-error diagnostic:\n%s", errOut.String())
+	}
+}
+
+// The interconnect sweep fails like the grid: at 512-byte blocks its
+// LCM-mcc runs fail with the config error, which is reported on stderr
+// and turns into exit status 1 instead of a table of zero-cycle rows.
+func TestNetsweepConfigErrorExitsOne(t *testing.T) {
+	var out, errOut strings.Builder
+	code := run([]string{"-netsweep", "-scale", "64", "-blocksize", "512"}, &out, &errOut)
+	if code != 1 {
+		t.Fatalf("run() = %d, want exit code 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+	}
+	for _, want := range []string{"FAILED Stencil-dynamic/lcm-mcc/P=8 cpb=2: ", "FAILED KV-read/lcm-mcc/", "block size 512 exceeds 256 bytes"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, errOut.String())
+		}
 	}
 }
 
@@ -78,7 +94,7 @@ func TestKVCellsRunVerified(t *testing.T) {
 // verify against the sequential references and exit 0.
 func TestCrossWordGridRunsVerified(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-fig2", "-scale", "64", "-p", "96", "-verify"}, &out, &errOut)
+	code := run([]string{"-cells", "Stencil-static,Stencil-dynamic", "-scale", "64", "-p", "96", "-verify"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("run() = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}

@@ -58,20 +58,23 @@ func main() {
 	}
 	suite.Cfg = cfg
 
-	var r workloads.Result
-	switch *w {
-	case "stencil":
-		r = workloads.RunStencil(sys, suite.StencilSpec(*sched), cfg)
-	case "adaptive":
-		r = workloads.RunAdaptive(sys, suite.AdaptiveSpec(*sched), cfg)
-	case "threshold":
-		r = workloads.RunThreshold(sys, suite.ThresholdSpec(), cfg)
-	case "unstructured":
-		r = workloads.RunUnstructured(sys, suite.UnstructuredSpec(), cfg)
-	default:
+	workload := map[string]string{
+		"stencil": "Stencil", "adaptive": "Adaptive", "threshold": "Threshold", "unstructured": "Unstructured",
+	}[*w]
+	if workload == "" {
 		fmt.Fprintf(os.Stderr, "lcmtrace: unknown workload %q\n", *w)
 		os.Exit(2)
 	}
+	cell := harness.CellSpec{Workload: workload}
+	if workload == "Stencil" || workload == "Adaptive" {
+		cell.Sched = *sched
+	}
+	res, err := suite.Exec([]harness.Run{{Cell: cell, System: sys, Cfg: cfg}})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lcmtrace:", err)
+		os.Exit(2)
+	}
+	r := res[0]
 
 	fmt.Printf("%s under %s (%s partitioning, P=%d, scale 1/%d)\n\n",
 		r.Workload, r.System, *sched, *p, *scale)

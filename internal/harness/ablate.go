@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"lcm/internal/core"
@@ -28,8 +29,9 @@ type ReductionResult struct {
 // RunReduction compares three ways of summing n values across P nodes
 // (Section 7.1): a lock around a shared accumulator, per-node partial sums
 // combined serially, and an RSM reduction region whose reconciliation
-// function does the combine.
-func (s *Suite) RunReduction(n int) []ReductionResult {
+// function does the combine.  A strategy whose sum is not n(n-1)/2 is an
+// error.
+func (s *Suite) RunReduction(n int) ([]ReductionResult, error) {
 	cfg := s.Cfg
 	want := float64(n) * float64(n-1) / 2
 
@@ -63,11 +65,16 @@ func (s *Suite) RunReduction(n int) []ReductionResult {
 		out = append(out, ReductionResult{"lock", m.MaxClock(), m.TotalCounters().Misses, total.Peek(0)})
 	}
 
-	// Strategy 2: hand-written partial sums (what the paper suggests a
-	// programmer rewrites the loop into).
-	{
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.Copying)
-		red := cstar.NewReduceF64(m, "total", cstar.Copying)
+	// Strategy 2: hand-written partial sums combined serially (what the
+	// paper suggests a programmer rewrites the loop into), and strategy
+	// 3: the RSM reduction, where the memory system combines private
+	// copies at reconciliation.  Both use the same reducer code.
+	for _, st := range []struct {
+		name string
+		sys  cstar.System
+	}{{"partials", cstar.Copying}, {"rsm-reduction", cstar.LCMmcc}} {
+		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), st.sys)
+		red := cstar.NewReduceF64(m, "total", st.sys)
 		m.Freeze()
 		m.Run(func(nd *tempest.Node) {
 			lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
@@ -83,47 +90,28 @@ func (s *Suite) RunReduction(n int) []ReductionResult {
 				v = red.Value(nd)
 			}
 		})
-		out = append(out, ReductionResult{"partials", m.MaxClock(), m.TotalCounters().Misses, v})
-	}
-
-	// Strategy 3: RSM reduction — the memory system combines private
-	// copies at reconciliation.
-	{
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.LCMmcc)
-		red := cstar.NewReduceF64(m, "total", cstar.LCMmcc)
-		m.Freeze()
-		m.Run(func(nd *tempest.Node) {
-			lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
-			for i := lo; i < hi; i++ {
-				red.Add(nd, float64(i))
-				nd.Compute(1)
-			}
-			red.Reduce(nd)
-		})
-		var v float64
-		m.Run(func(nd *tempest.Node) {
-			if nd.ID == 0 {
-				v = red.Value(nd)
-			}
-		})
-		out = append(out, ReductionResult{"rsm-reduction", m.MaxClock(), m.TotalCounters().Misses, v})
+		out = append(out, ReductionResult{st.name, m.MaxClock(), m.TotalCounters().Misses, v})
 	}
 
 	tb := stats.NewTable(
 		fmt.Sprintf("Ablation 7.1: global sum of %d values, P=%d (all values must equal %.0f)", n, cfg.P, want),
 		"cycles", "misses", "value")
+	var errs []error
 	for _, r := range out {
 		tb.AddRow(r.Strategy, map[string]string{
 			"cycles": stats.GroupInt(r.Cycles),
 			"misses": stats.GroupInt(r.Misses),
 			"value":  fmt.Sprintf("%.0f", r.Value),
 		})
+		if r.Value != want {
+			errs = append(errs, fmt.Errorf("reduction %s: sum %.0f, want %.0f", r.Strategy, r.Value, want))
+		}
 	}
 	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  paper claim: the RSM reconciliation reduction avoids the lock bottleneck and")
-	fmt.Fprintln(s.Out, "  needs no extra analysis or data structures, at cost comparable to hand-written partials.")
-	fmt.Fprintln(s.Out)
-	return out
+	s.note(
+		"paper claim: the RSM reconciliation reduction avoids the lock bottleneck and",
+		"needs no extra analysis or data structures, at cost comparable to hand-written partials.")
+	return out, errors.Join(errs...)
 }
 
 // FalseSharingResult measures one system on the false-sharing kernel.
@@ -141,10 +129,12 @@ type FalseSharingResult struct {
 // invalidation-based coherence every such write steals the block from its
 // previous writer; under LCM the first write of the phase makes a private
 // copy and all later writes hit it, with reconciliation merging the
-// disjoint words.
-func (s *Suite) RunFalseSharing(blocks, steps int) []FalseSharingResult {
+// disjoint words.  A lost update — a writer's word not counting every
+// one of its writes — is an error.
+func (s *Suite) RunFalseSharing(blocks, steps int) ([]FalseSharingResult, error) {
 	cfg := s.Cfg
 	var out []FalseSharingResult
+	var errs []error
 	wordsPerBlock := int(bs(cfg) / 4)
 	writers := min(cfg.P, wordsPerBlock, blocks)
 	rounds := 4 * blocks // each writer revisits each block 4 times per phase
@@ -171,7 +161,7 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []FalseSharingResult {
 		want := int32(steps * rounds / blocks)
 		for w := 0; w < writers; w++ {
 			if got := v.Peek(w); got != want {
-				fmt.Fprintf(s.Out, "  WARNING: word %d = %d, want %d\n", w, got, want)
+				errs = append(errs, fmt.Errorf("false sharing %v: lost updates: word %d = %d, want %d", sys, w, got, want))
 			}
 		}
 	}
@@ -186,10 +176,10 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []FalseSharingResult {
 		})
 	}
 	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  paper claim: with private copies and word-level merge, false sharing causes no")
-	fmt.Fprintln(s.Out, "  coherence ping-pong; the invalidation protocol transfers each block per writer per step.")
-	fmt.Fprintln(s.Out)
-	return out
+	s.note(
+		"paper claim: with private copies and word-level merge, false sharing causes no",
+		"coherence ping-pong; the invalidation protocol transfers each block per writer per step.")
+	return out, errors.Join(errs...)
 }
 
 // StaleResult measures one staleness setting.
@@ -204,7 +194,9 @@ type StaleResult struct {
 // phase; the other nodes read all of it every phase.  With StalePhases=k a
 // consumer's copy survives up to k producer updates, trading staleness for
 // eliminated re-fetches — the N-body "distant elements" optimization.
-func (s *Suite) RunStaleData(words, phases int, staleness []int) []StaleResult {
+// A consumer that sees data older than its staleness bound allows is an
+// error.
+func (s *Suite) RunStaleData(words, phases int, staleness []int) ([]StaleResult, error) {
 	cfg := s.Cfg
 	var out []StaleResult
 	for _, k := range staleness {
@@ -245,25 +237,31 @@ func (s *Suite) RunStaleData(words, phases int, staleness []int) []StaleResult {
 		fmt.Sprintf("Ablation 7.5: stale data — producer updates %d words over %d phases, %d consumers",
 			words, phases, cfg.P-1),
 		"cycles", "misses", "max_lag")
+	var errs []error
 	for _, r := range out {
 		tb.AddRow(fmt.Sprintf("stale=%d", r.StalePhases), map[string]string{
 			"cycles":  stats.GroupInt(r.Cycles),
 			"misses":  stats.GroupInt(r.Misses),
 			"max_lag": fmt.Sprintf("%d", r.MaxLagSeen),
 		})
+		if r.MaxLagSeen > r.StalePhases {
+			errs = append(errs, fmt.Errorf("stale data stale=%d: lag %d exceeds the bound", r.StalePhases, r.MaxLagSeen))
+		}
 	}
 	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  paper claim: tolerating staleness eliminates refetches of repeatedly-updated data;")
-	fmt.Fprintln(s.Out, "  misses fall as allowed staleness grows, bounded lag in exchange.")
-	fmt.Fprintln(s.Out)
-	return out
+	s.note(
+		"paper claim: tolerating staleness eliminates refetches of repeatedly-updated data;",
+		"misses fall as allowed staleness grows, bounded lag in exchange.")
+	return out, errors.Join(errs...)
 }
 
-// RunAblations runs all Section 7 experiments at default sizes.
-func (s *Suite) RunAblations() {
-	s.RunReduction(1 << 16)
-	s.RunFalseSharing(16, 50)
-	s.RunStaleData(256, 40, []int{0, 1, 2, 4, 8})
+// RunAblations runs all Section 7 experiments at default sizes and
+// returns the joined errors of their checks.
+func (s *Suite) RunAblations() error {
+	_, errRed := s.RunReduction(1 << 16)
+	_, errFalse := s.RunFalseSharing(16, 50)
+	_, errStale := s.RunStaleData(256, 40, []int{0, 1, 2, 4, 8})
+	return errors.Join(errRed, errFalse, errStale)
 }
 
 // costOf resolves the suite's cost model (defaulting like workloads do).

@@ -83,28 +83,30 @@ func DefaultFaultPlans() []FaultPlan {
 // machine must tear down with diagnostics, not hang.
 const abortBound = 30 * time.Second
 
-// faultCase is one workload entry of the fault matrix.
-type faultCase struct {
-	name string
-	run  func(sys cstar.System, cfg workloads.Config) workloads.Result
+// faultCells are the fault matrix's workloads, one static cell each.
+var faultCells = []CellSpec{
+	{"Stencil", "static"},
+	{"Adaptive", "static"},
+	{"Threshold", ""},
+	{"Unstructured", ""},
 }
 
-func (s *Suite) faultCases() []faultCase {
-	return []faultCase{
-		{"Stencil", func(sys cstar.System, cfg workloads.Config) workloads.Result {
-			return workloads.RunStencil(sys, s.StencilSpec("static"), cfg)
-		}},
-		{"Adaptive", func(sys cstar.System, cfg workloads.Config) workloads.Result {
-			return workloads.RunAdaptive(sys, s.AdaptiveSpec("static"), cfg)
-		}},
-		{"Threshold", func(sys cstar.System, cfg workloads.Config) workloads.Result {
-			return workloads.RunThreshold(sys, s.ThresholdSpec(), cfg)
-		}},
-		{"Unstructured", func(sys cstar.System, cfg workloads.Config) workloads.Result {
-			return workloads.RunUnstructured(sys, s.UnstructuredSpec(), cfg)
-		}},
-	}
+// faultRow is one printed row of the fault matrix: one plan and seed
+// run against its (cell, system) fault-free baseline.  base, run and
+// replay index the matrix's runs; run is -1 for a plan skipped at this
+// P, and replay is -1 except on the first seed of a recoverable plan.
+type faultRow struct {
+	cell              CellSpec
+	sys               cstar.System
+	plan              FaultPlan
+	seed              uint64
+	base, run, replay int
 }
+
+// kills reports whether the plan kills a node; unrecoverable whether it
+// does so without KillRecover, so its row expects an abort.
+func kills(p fault.Plan) bool         { return p.KillAfter > 0 || p.KillAtBarrier > 0 }
+func unrecoverable(p fault.Plan) bool { return kills(p) && !p.KillRecover }
 
 // RunFaults runs the fault matrix — every workload x memory system x
 // plan x seed at the suite's P, each run verified against the
@@ -112,27 +114,28 @@ func (s *Suite) faultCases() []faultCase {
 // joined failures (nil when every assertion held).  Each seed shifts
 // every plan's own seed; an empty seeds list means the single seed 0.
 // The first seed of each recoverable row is also replayed and must
-// reproduce every observable bit for bit.
+// reproduce every observable bit for bit.  The fault-free baselines,
+// every plan and seed, and the replays run as one batch through Exec.
 func (s *Suite) RunFaults(plans []FaultPlan, seeds []uint64) error {
 	cfg := s.Cfg
 	cfg.Verify = true
 	if len(seeds) == 0 {
 		seeds = []uint64{0}
 	}
-	var failures []error
-	fmt.Fprintf(s.Out, "fault matrix (P=%d, scale 1/%d, %d plans, %d seeds)...\n",
-		cfg.P, s.Scale, len(plans), len(seeds))
-	for _, c := range s.faultCases() {
+	var runs []Run
+	add := func(c CellSpec, sys cstar.System, cfg workloads.Config) int {
+		runs = append(runs, Run{Cell: c, System: sys, Cfg: cfg})
+		return len(runs) - 1
+	}
+	var bases []int
+	var rows []faultRow
+	for _, c := range faultCells {
 		for _, sys := range systems {
-			base := c.run(sys, cfg)
-			if base.Err != nil {
-				failures = append(failures, fmt.Errorf("%s/%v: fault-free baseline failed: %w", c.name, sys, base.Err))
-				continue
-			}
+			base := add(c, sys, cfg)
+			bases = append(bases, base)
 			for _, p := range plans {
-				kills := p.Plan.KillAfter > 0 || p.Plan.KillAtBarrier > 0
-				if kills && p.Plan.KillNode >= cfg.P {
-					fmt.Fprintf(s.Out, "  %-12s %-8v %-15s skip (kill target beyond P=%d)\n", c.name, sys, p.Name, cfg.P)
+				if kills(p.Plan) && p.Plan.KillNode >= cfg.P {
+					rows = append(rows, faultRow{c, sys, p, 0, base, -1, -1})
 					continue
 				}
 				for i, seed := range seeds {
@@ -140,39 +143,66 @@ func (s *Suite) RunFaults(plans []FaultPlan, seeds []uint64) error {
 					plan := p.Plan
 					plan.Seed += seed * 0x9e3779b97f4a7c15
 					fc.Faults = &plan
-					var detail string
-					var err error
-					if kills && !plan.KillRecover {
-						// A failed run's counters are not collected, so
-						// the row reports the structured failure instead.
+					if unrecoverable(plan) {
 						fc.Watchdog = 2 * time.Second
-						start := time.Now()
-						res := c.run(sys, fc)
-						err = checkAbort(res, plan, time.Since(start))
-						detail = fmt.Sprintf("aborted[%v]", res.Err)
-						var re *tempest.RunError
-						if errors.As(res.Err, &re) && re.First() != nil {
-							detail = fmt.Sprintf("aborted[%v]", re.First())
-						}
-					} else {
-						res := c.run(sys, fc)
-						err = checkFaults(base, res, plan, cfg.P)
-						if err == nil && i == 0 {
-							err = checkReplay(res, c.run(sys, fc))
-						}
-						detail = fmt.Sprintf("injected[%s] restarts=%d rehomed=%d",
-							res.Faults, res.C.Restarts, res.C.RehomedBlocks)
 					}
-					status := "ok"
-					if err != nil {
-						status = "FAIL: " + err.Error()
-						failures = append(failures, fmt.Errorf("%s/%v/%s/seed%d: %w", c.name, sys, p.Name, seed, err))
+					row := faultRow{c, sys, p, seed, base, add(c, sys, fc), -1}
+					if i == 0 && !unrecoverable(plan) {
+						row.replay = add(c, sys, fc)
 					}
-					fmt.Fprintf(s.Out, "  %-12s %-8v %-15s seed=%d %s %s\n",
-						c.name, sys, p.Name, seed, detail, status)
+					rows = append(rows, row)
 				}
 			}
 		}
+	}
+	fmt.Fprintf(s.Out, "fault matrix (P=%d, scale 1/%d, %d plans, %d seeds)...\n",
+		cfg.P, s.Scale, len(plans), len(seeds))
+	res, err := s.Exec(runs)
+	if err != nil {
+		return err
+	}
+	var failures []error
+	for _, b := range bases {
+		if err := res[b].Err; err != nil {
+			failures = append(failures, fmt.Errorf("%s/%v: fault-free baseline failed: %w", runs[b].Cell.Workload, runs[b].System, err))
+		}
+	}
+	for _, row := range rows {
+		name := row.cell.Workload
+		if res[row.base].Err != nil {
+			continue // the baseline failure is reported above
+		}
+		if row.run < 0 {
+			fmt.Fprintf(s.Out, "  %-12s %-8v %-15s skip (kill target beyond P=%d)\n", name, row.sys, row.plan.Name, cfg.P)
+			continue
+		}
+		r := res[row.run]
+		var detail string
+		var err error
+		if unrecoverable(row.plan.Plan) {
+			// A failed run's counters are not collected, so the row
+			// reports the structured failure instead.
+			err = checkAbort(r, row.plan.Plan, r.Wall)
+			detail = fmt.Sprintf("aborted[%v]", r.Err)
+			var re *tempest.RunError
+			if errors.As(r.Err, &re) && re.First() != nil {
+				detail = fmt.Sprintf("aborted[%v]", re.First())
+			}
+		} else {
+			err = checkFaults(res[row.base], r, row.plan.Plan, cfg.P)
+			if err == nil && row.replay >= 0 {
+				err = checkReplay(r, res[row.replay])
+			}
+			detail = fmt.Sprintf("injected[%s] restarts=%d rehomed=%d",
+				r.Faults, r.C.Restarts, r.C.RehomedBlocks)
+		}
+		status := "ok"
+		if err != nil {
+			status = "FAIL: " + err.Error()
+			failures = append(failures, fmt.Errorf("%s/%v/%s/seed%d: %w", name, row.sys, row.plan.Name, row.seed, err))
+		}
+		fmt.Fprintf(s.Out, "  %-12s %-8v %-15s seed=%d %s %s\n",
+			name, row.sys, row.plan.Name, row.seed, detail, status)
 	}
 	return errors.Join(failures...)
 }

@@ -73,7 +73,10 @@ func TestGoldenGridCounters(t *testing.T) {
 	s := New(io.Discard)
 	s.Cfg = workloads.Config{P: 8, Verify: true}
 	s.Scale = 16
-	rows := s.RunPaperSelect(false, false, false)
+	rows, err := s.RunCells(GridCells())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	i := 0
 	for _, row := range rows {

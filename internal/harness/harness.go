@@ -12,7 +12,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"lcm/internal/cstar"
 	"lcm/internal/stats"
@@ -30,8 +29,9 @@ type Suite struct {
 	Scale int
 	// Out receives the rendered tables.
 	Out io.Writer
-	// OnProgress, when non-nil, is invoked after every completed (cell,
-	// system) run of a grid campaign (see Progress).  It lets callers —
+	// OnProgress, when non-nil, is invoked after every completed run of
+	// any campaign — grid, sweep or fault matrix (see Exec and
+	// Progress).  It lets callers —
 	// cmd progress meters, the lcmd job server — stream campaign state
 	// without the harness writing anywhere but Out.
 	OnProgress func(Progress)
@@ -130,39 +130,6 @@ func (s *Suite) KVSpec(mix string) workloads.KVSpec {
 
 var systems = []cstar.System{cstar.LCMscc, cstar.LCMmcc, cstar.Copying}
 
-// runRow runs one benchmark row under all three systems, stamping each
-// result with its host wall-clock duration for the trajectory record and
-// reporting campaign progress after each system completes.
-func (s *Suite) runRow(cell string, done *int, total int, run func(sys cstar.System) workloads.Result) map[cstar.System]workloads.Result {
-	out := make(map[cstar.System]workloads.Result, len(systems))
-	for _, sys := range systems {
-		t0 := time.Now()
-		r := run(sys)
-		r.Wall = time.Since(t0)
-		out[sys] = r
-		*done++
-		if s.OnProgress != nil {
-			s.OnProgress(Progress{
-				Cell: cell, System: sys.String(), Done: *done, Total: total,
-				SimCycles: r.Cycles, SimMisses: r.C.Misses, Wall: r.Wall, Err: r.Err,
-			})
-		}
-	}
-	return out
-}
-
-// rows runs all six benchmark rows of Table 1 / Figures 2-3.
-func (s *Suite) rows() []map[cstar.System]workloads.Result {
-	fmt.Fprintf(s.Out, "running benchmarks (P=%d, scale 1/%d)...\n", s.Cfg.P, s.Scale)
-	all, err := s.RunCells(GridCells())
-	if err != nil {
-		// GridCells are the canonical cell set; a runner error for them
-		// is a harness bug, not a configuration problem.
-		panic(err)
-	}
-	return all
-}
-
 // Table1 reproduces the paper's Table 1: cache misses (in thousands) per
 // system and clean copies (in thousands) for the two LCM variants.
 func (s *Suite) Table1(rows []map[cstar.System]workloads.Result) {
@@ -182,8 +149,18 @@ func (s *Suite) Table1(rows []map[cstar.System]workloads.Result) {
 	fmt.Fprintln(s.Out, tb.String())
 }
 
-// figure renders one execution-time bar group.
-func (s *Suite) figure(title string, rows []map[cstar.System]workloads.Result) {
+// note prints the lines under a table or figure, indented, and a blank
+// line.
+func (s *Suite) note(lines ...string) {
+	for _, line := range lines {
+		fmt.Fprintln(s.Out, "  "+line)
+	}
+	fmt.Fprintln(s.Out)
+}
+
+// figure renders one execution-time bar group and the paper's claim for
+// it (Figure 2: Stencil; Figure 3: Adaptive, Threshold, Unstructured).
+func (s *Suite) figure(title string, rows []map[cstar.System]workloads.Result, claim ...string) {
 	fmt.Fprintln(s.Out, title)
 	var max int64
 	for _, row := range rows {
@@ -204,43 +181,25 @@ func (s *Suite) figure(title string, rows []map[cstar.System]workloads.Result) {
 		}
 	}
 	fmt.Fprintln(s.Out)
+	s.note(claim...)
 }
 
-// Fig2 reproduces Figure 2: Stencil execution time, static and dynamic.
-func (s *Suite) Fig2(rows []map[cstar.System]workloads.Result) {
-	s.figure("Figure 2: Stencil execution time", rows[:2])
-	fmt.Fprintln(s.Out, "  paper: Stencil-stat ~5x faster under Stache; Stencil-dyn ~2% faster under LCM-mcc;")
-	fmt.Fprintln(s.Out, "         LCM-scc ~4x slower than LCM-mcc with ~8x its misses.")
-	fmt.Fprintln(s.Out)
-}
-
-// Fig3 reproduces Figure 3: Adaptive, Threshold, Unstructured times.
-func (s *Suite) Fig3(rows []map[cstar.System]workloads.Result) {
-	s.figure("Figure 3: benchmark execution time", rows[2:])
-	fmt.Fprintln(s.Out, "  paper: Adaptive-dyn ~1.9x faster under LCM-mcc; Threshold 97%/74% faster under")
-	fmt.Fprintln(s.Out, "         LCM-mcc/scc; Unstructured 19-28% faster under LCM.")
-	fmt.Fprintln(s.Out)
-}
-
-// RunPaper runs every benchmark and prints Table 1 and Figures 2 and 3.
-// It returns the raw results for further inspection.
+// RunPaper runs the six grid cells and prints Table 1 and Figures 2 and
+// 3.  It returns the raw results for further inspection.
 func (s *Suite) RunPaper() []map[cstar.System]workloads.Result {
-	return s.RunPaperSelect(true, true, true)
-}
-
-// RunPaperSelect runs the benchmarks needed by the selected artifacts and
-// prints them.  Table 1 and the figures share the same runs, so everything
-// executes once.
-func (s *Suite) RunPaperSelect(table1, fig2, fig3 bool) []map[cstar.System]workloads.Result {
-	rows := s.rows()
-	if table1 {
-		s.Table1(rows)
+	fmt.Fprintf(s.Out, "running benchmarks (P=%d, scale 1/%d)...\n", s.Cfg.P, s.Scale)
+	rows, err := s.RunCells(GridCells())
+	if err != nil {
+		// GridCells are the canonical cell set; an error for them is a
+		// harness bug, not a configuration problem.
+		panic(err)
 	}
-	if fig2 {
-		s.Fig2(rows)
-	}
-	if fig3 {
-		s.Fig3(rows)
-	}
+	s.Table1(rows)
+	s.figure("Figure 2: Stencil execution time", rows[:2],
+		"paper: Stencil-stat ~5x faster under Stache; Stencil-dyn ~2% faster under LCM-mcc;",
+		"       LCM-scc ~4x slower than LCM-mcc with ~8x its misses.")
+	s.figure("Figure 3: benchmark execution time", rows[2:],
+		"paper: Adaptive-dyn ~1.9x faster under LCM-mcc; Threshold 97%/74% faster under",
+		"       LCM-mcc/scc; Unstructured 19-28% faster under LCM.")
 	return rows
 }

@@ -53,7 +53,10 @@ func TestPaperShapeClaims(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
 	s.Scale = 8
-	rows := s.rows()
+	rows, err := s.RunCells(GridCells())
+	if err != nil {
+		t.Fatal(err)
+	}
 	stencilStat, stencilDyn := rows[0], rows[1]
 	adaptiveDyn := rows[3]
 	threshold, unstructured := rows[4], rows[5]
@@ -94,7 +97,10 @@ func TestPaperShapeClaims(t *testing.T) {
 func TestReductionAblation(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	res := s.RunReduction(1 << 12)
+	res, err := s.RunReduction(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 3 {
 		t.Fatal("want 3 strategies")
 	}
@@ -119,9 +125,9 @@ func TestReductionAblation(t *testing.T) {
 func TestFalseSharingAblation(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	res := s.RunFalseSharing(4, 20)
-	if strings.Contains(buf.String(), "WARNING") {
-		t.Fatalf("false-sharing kernel lost updates:\n%s", buf.String())
+	res, err := s.RunFalseSharing(4, 20)
+	if err != nil {
+		t.Fatalf("false-sharing kernel lost updates: %v", err)
 	}
 	var stache, mcc FalseSharingResult
 	for _, r := range res {
@@ -146,7 +152,10 @@ func TestFalseSharingAblation(t *testing.T) {
 func TestStaleDataAblation(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	res := s.RunStaleData(64, 12, []int{0, 2, 4})
+	res, err := s.RunStaleData(64, 12, []int{0, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 3 {
 		t.Fatal("want 3 settings")
 	}
@@ -186,22 +195,23 @@ func TestSpecScaling(t *testing.T) {
 func TestBlockSizeSweep(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	res := s.RunBlockSizeSweep([]uint32{16, 32, 64})
-	if len(res) != 9 {
-		t.Fatalf("cells = %d, want 9", len(res))
+	rows, err := s.RunBlockSizeSweep([]uint32{16, 32, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rows))
 	}
 	// Larger blocks must reduce LCM-mcc misses (spatial amortization).
-	missAt := func(bsz uint32) int64 {
-		for _, r := range res {
-			if r.BlockSize == bsz && r.System == cstar.LCMmcc {
-				return r.Misses
-			}
+	var miss []int64
+	for i, bsz := range []uint32{16, 32, 64} {
+		if rows[i].Cfg.BlockSize != bsz || len(rows[i].Results) != 3 {
+			t.Fatalf("row %d = %s at %dB with %d systems, want %dB with 3", i, rows[i].Label, rows[i].Cfg.BlockSize, len(rows[i].Results), bsz)
 		}
-		return -1
+		miss = append(miss, rows[i].Results[cstar.LCMmcc].C.Misses)
 	}
-	if !(missAt(16) > missAt(32) && missAt(32) > missAt(64)) {
-		t.Fatalf("mcc misses not monotone in block size: %d, %d, %d",
-			missAt(16), missAt(32), missAt(64))
+	if !(miss[0] > miss[1] && miss[1] > miss[2]) {
+		t.Fatalf("mcc misses not monotone in block size: %v", miss)
 	}
 	if !strings.Contains(buf.String(), "block size") {
 		t.Fatal("missing sweep table")
@@ -211,23 +221,90 @@ func TestBlockSizeSweep(t *testing.T) {
 func TestProcessorSweep(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	res := s.RunProcessorSweep([]int{2, 4, 8})
-	if len(res) != 6 {
-		t.Fatalf("cells = %d, want 6", len(res))
+	rows, err := s.RunProcessorSweep([]int{2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rows))
 	}
 	// More processors must shorten the run for both systems.
-	cy := func(p int, sys cstar.System) int64 {
-		for _, r := range res {
-			if r.P == p && r.System == sys {
-				return r.Cycles
-			}
-		}
-		return -1
-	}
 	for _, sys := range []cstar.System{cstar.Copying, cstar.LCMmcc} {
-		if !(cy(2, sys) > cy(4, sys) && cy(4, sys) > cy(8, sys)) {
-			t.Fatalf("%v does not scale: %d, %d, %d", sys, cy(2, sys), cy(4, sys), cy(8, sys))
+		var cy []int64
+		for i, p := range []int{2, 4, 8} {
+			r, ok := rows[i].Results[sys]
+			if rows[i].Cfg.P != p || !ok {
+				t.Fatalf("row %d = %s, want P=%d with %v", i, rows[i].Label, p, sys)
+			}
+			cy = append(cy, r.Cycles)
 		}
+		if !(cy[0] > cy[1] && cy[1] > cy[2]) {
+			t.Fatalf("%v does not scale: %v", sys, cy)
+		}
+	}
+}
+
+// TestCacheSweep checks the Section 6.3 caveat's mechanism: with an
+// unbounded cache the baseline never evicts, and shrinking the cache
+// below the per-node working set makes it evict ever more (at scale 64,
+// P=8 the copying evictions read 0/37/222/315/396).
+func TestCacheSweep(t *testing.T) {
+	var buf bytes.Buffer
+	s := smallSuite(&buf)
+	s.Scale = 64
+	lines := []int{0, 16, 8, 4, 2}
+	rows, err := s.RunCacheSweep(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(lines) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(lines))
+	}
+	var evict []int64
+	for i, row := range rows {
+		if row.Cfg.CacheLines != lines[i] {
+			t.Fatalf("row %d = %s, want %d cache lines", i, row.Label, lines[i])
+		}
+		evict = append(evict, row.Results[cstar.Copying].C.Evictions)
+	}
+	if evict[0] != 0 {
+		t.Errorf("unbounded cache evicted %d blocks", evict[0])
+	}
+	for i := 1; i < len(evict); i++ {
+		if !(evict[i] > evict[i-1]) {
+			t.Errorf("copying evictions do not rise as the cache shrinks: %v", evict)
+		}
+	}
+	if !strings.Contains(buf.String(), "cache capacity") || !strings.Contains(buf.String(), "unbounded") {
+		t.Fatalf("missing sweep table:\n%s", buf.String())
+	}
+}
+
+// A sweep whose runs fail still prints its table but returns every
+// failure, labelled with cell, system and point: 512-byte blocks exceed
+// LCM's element-tracking limit, so the LCM-mcc runs fail.
+func TestSweepsReportFailedRuns(t *testing.T) {
+	var buf bytes.Buffer
+	s := smallSuite(&buf)
+	s.Scale = 64
+	s.Cfg.BlockSize = 512
+	_, err := s.RunNetworkSweep(CellSpec{"Stencil", "dynamic"}, []int{4}, []int64{2, 8})
+	if err == nil {
+		t.Fatalf("network sweep at 512-byte blocks returned no error:\n%s", buf.String())
+	}
+	for _, want := range []string{
+		"Stencil-dynamic/lcm-mcc/P=4 cpb=2: ", "Stencil-dynamic/lcm-mcc/P=4 cpb=8: ",
+		"block size 512 exceeds 256 bytes",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+	if !strings.Contains(buf.String(), "P=4 cpb=8") {
+		t.Errorf("failed sweep printed no table:\n%s", buf.String())
+	}
+	if _, err := s.RunProcessorSweep([]int{4}); err == nil || !strings.Contains(err.Error(), "block size 512") {
+		t.Errorf("processor sweep at 512-byte blocks: err = %v, want the config error", err)
 	}
 }
 
@@ -265,7 +342,10 @@ func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
 	s.Cfg.Verify = false
-	rows := s.rows()
+	rows, err := s.RunCells(GridCells())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var csv bytes.Buffer
 	if err := WriteCSV(&csv, rows); err != nil {
 		t.Fatal(err)
@@ -281,5 +361,39 @@ func TestWriteCSV(t *testing.T) {
 		if strings.Count(l, ",") != strings.Count(lines[0], ",") {
 			t.Fatalf("ragged row %q", l)
 		}
+	}
+}
+
+// Exec validates the whole batch before running any of it, then reports
+// progress once per run with Done/Total counted over the batch.
+func TestExecValidatesThenReportsProgress(t *testing.T) {
+	s := New(&bytes.Buffer{})
+	s.Cfg = workloads.Config{P: 2}
+	s.Scale = 64
+	var seen []Progress
+	s.OnProgress = func(p Progress) { seen = append(seen, p) }
+	good := Run{Cell: CellSpec{"Threshold", ""}, System: cstar.LCMmcc, Cfg: s.Cfg}
+	for _, bad := range []CellSpec{{"Stencil", "diagonal"}, {"Threshold", "static"}, {"KV", "mixed"}, {"Mandelbrot", ""}} {
+		if _, err := s.Exec([]Run{good, {Cell: bad, System: cstar.Copying, Cfg: s.Cfg}}); err == nil {
+			t.Errorf("Exec accepted cell %s", bad.Label())
+		}
+	}
+	if len(seen) != 0 {
+		t.Fatalf("Exec ran %d runs of a batch holding an invalid cell", len(seen))
+	}
+	res, err := s.Exec([]Run{good, {Cell: CellSpec{"Stencil", "static"}, System: cstar.Copying, Cfg: s.Cfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0].Workload != "Threshold" || res[1].System != cstar.Copying {
+		t.Fatalf("results out of order: %+v", res)
+	}
+	for i, p := range seen {
+		if p.Done != i+1 || p.Total != 2 || p.Wall != res[i].Wall || p.Wall <= 0 || p.SimCycles != res[i].Cycles {
+			t.Errorf("progress %d = %+v, want done %d/2 with the run's wall time and cycles", i, p, i+1)
+		}
+	}
+	if len(seen) != 2 || seen[0].Cell != "Threshold" || seen[1].Cell != "Stencil-static" || seen[1].System != "copying" {
+		t.Errorf("progress = %+v, want Threshold then Stencil-static/copying", seen)
 	}
 }

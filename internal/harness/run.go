@@ -81,6 +81,10 @@ func (e *UnknownCellError) Error() string {
 	return fmt.Sprintf("unknown grid cell %q (want one of %s)", e.Name, strings.Join(e.Known, ", "))
 }
 
+// schedAbbrev is how the paper's tables abbreviate a schedule
+// ("Stencil-stat").
+var schedAbbrev = map[string]string{"static": "stat", "dynamic": "dyn"}
+
 // ParseCell resolves a cell name to its spec.  Both the full schedule
 // names ("Stencil-static") and the table abbreviations ("Stencil-stat")
 // are accepted; matching is case-insensitive.  An unresolvable name —
@@ -91,9 +95,7 @@ func ParseCell(name string) (CellSpec, error) {
 		if strings.ToLower(c.Label()) == want {
 			return c, nil
 		}
-		// The paper's tables abbreviate the schedule ("Stencil-stat").
-		abbrev := map[string]string{"static": "stat", "dynamic": "dyn"}[c.Sched]
-		if abbrev != "" && strings.ToLower(c.Workload+"-"+abbrev) == want {
+		if abbrev := schedAbbrev[c.Sched]; abbrev != "" && strings.ToLower(c.Workload+"-"+abbrev) == want {
 			return c, nil
 		}
 	}
@@ -127,68 +129,106 @@ type Progress struct {
 	Err       error
 }
 
-// runner returns the function executing one cell under one system, or an
-// error for an unknown cell.
-func (s *Suite) runner(c CellSpec) (func(sys cstar.System) workloads.Result, error) {
-	switch c.Workload {
-	case "Stencil":
-		if c.Sched != "static" && c.Sched != "dynamic" {
-			return nil, fmt.Errorf("cell %s: Stencil needs a static or dynamic schedule", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunStencil(sys, s.StencilSpec(c.Sched), s.Cfg)
-		}, nil
-	case "Adaptive":
-		if c.Sched != "static" && c.Sched != "dynamic" {
-			return nil, fmt.Errorf("cell %s: Adaptive needs a static or dynamic schedule", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunAdaptive(sys, s.AdaptiveSpec(c.Sched), s.Cfg)
-		}, nil
-	case "Threshold":
-		if c.Sched != "" {
-			return nil, fmt.Errorf("cell %s: Threshold has no schedule variants", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunThreshold(sys, s.ThresholdSpec(), s.Cfg)
-		}, nil
-	case "Unstructured":
-		if c.Sched != "" {
-			return nil, fmt.Errorf("cell %s: Unstructured has no schedule variants", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunUnstructured(sys, s.UnstructuredSpec(), s.Cfg)
-		}, nil
-	case "KV":
-		if c.Sched != "read" && c.Sched != "write" {
-			return nil, fmt.Errorf("cell %s: KV needs a read or write mix", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunKV(sys, s.KVSpec(c.Sched), s.Cfg)
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q in cell %s", c.Workload, c.Label())
+// Run is one experiment: one cell under one memory system on one machine
+// configuration.  Every campaign — the grid, the sweeps, the fault
+// matrix — is a list of Runs executed by Suite.Exec.
+type Run struct {
+	Cell   CellSpec
+	System cstar.System
+	Cfg    workloads.Config
 }
 
-// RunCells runs the given grid cells under all three memory systems,
-// invoking Suite.OnProgress (when set) after every completed (cell,
-// system) run.  The result slice is ordered like cells; each element maps
-// system to its measurements, exactly as the whole-grid campaign produces
-// them.  An unknown cell is an error before anything runs.
-func (s *Suite) RunCells(cells []CellSpec) ([]map[cstar.System]workloads.Result, error) {
-	runs := make([]func(sys cstar.System) workloads.Result, len(cells))
-	for i, c := range cells {
-		run, err := s.runner(c)
-		if err != nil {
+// Exec runs the runs in order and returns their results in the same
+// order.  Every cell is validated before anything runs; an unknown cell
+// or schedule is an error.  Each result is stamped with the host
+// wall-clock duration of its workload call alone, and Suite.OnProgress
+// (when set) is invoked after every run with Done/Total counted over the
+// batch.  A failed run is reported in its Result.Err, not as an error.
+func (s *Suite) Exec(runs []Run) ([]workloads.Result, error) {
+	for _, r := range runs {
+		if err := r.Cell.validate(); err != nil {
 			return nil, err
 		}
-		runs[i] = run
 	}
-	total := len(cells) * len(systems)
-	done := 0
-	rows := make([]map[cstar.System]workloads.Result, len(cells))
-	for i := range cells {
-		rows[i] = s.runRow(cells[i].Label(), &done, total, runs[i])
+	out := make([]workloads.Result, len(runs))
+	for i, run := range runs {
+		c, sys, cfg := run.Cell, run.System, run.Cfg
+		t0 := time.Now()
+		var r workloads.Result
+		switch c.Workload {
+		case "Stencil":
+			r = workloads.RunStencil(sys, s.StencilSpec(c.Sched), cfg)
+		case "Adaptive":
+			r = workloads.RunAdaptive(sys, s.AdaptiveSpec(c.Sched), cfg)
+		case "Threshold":
+			r = workloads.RunThreshold(sys, s.ThresholdSpec(), cfg)
+		case "Unstructured":
+			r = workloads.RunUnstructured(sys, s.UnstructuredSpec(), cfg)
+		case "KV":
+			r = workloads.RunKV(sys, s.KVSpec(c.Sched), cfg)
+		}
+		r.Wall = time.Since(t0)
+		out[i] = r
+		if s.OnProgress != nil {
+			s.OnProgress(Progress{
+				Cell: c.Label(), System: sys.String(), Done: i + 1, Total: len(runs),
+				SimCycles: r.Cycles, SimMisses: r.C.Misses, Wall: r.Wall, Err: r.Err,
+			})
+		}
 	}
-	return rows, nil
+	return out, nil
+}
+
+// validate reports a cell that names no workload, or a schedule its
+// workload does not have.
+func (c CellSpec) validate() error {
+	switch c.Workload {
+	case "Stencil", "Adaptive":
+		if c.Sched != "static" && c.Sched != "dynamic" {
+			return fmt.Errorf("cell %s: %s needs a static or dynamic schedule", c.Label(), c.Workload)
+		}
+	case "Threshold", "Unstructured":
+		if c.Sched != "" {
+			return fmt.Errorf("cell %s: %s has no schedule variants", c.Label(), c.Workload)
+		}
+	case "KV":
+		if c.Sched != "read" && c.Sched != "write" {
+			return fmt.Errorf("cell %s: KV needs a read or write mix", c.Label())
+		}
+	default:
+		return fmt.Errorf("unknown workload %q in cell %s", c.Workload, c.Label())
+	}
+	return nil
+}
+
+// bySystem regroups results run as consecutive groups of len(systems),
+// one per group, into system-keyed maps.
+func bySystem(res []workloads.Result, systems []cstar.System) []map[cstar.System]workloads.Result {
+	rows := make([]map[cstar.System]workloads.Result, len(res)/len(systems))
+	for i := range rows {
+		rows[i] = make(map[cstar.System]workloads.Result, len(systems))
+		for j, sys := range systems {
+			rows[i][sys] = res[i*len(systems)+j]
+		}
+	}
+	return rows
+}
+
+// RunCells runs the given grid cells under all three memory systems at
+// the suite's configuration, invoking Suite.OnProgress (when set) after
+// every completed (cell, system) run.  The result slice is ordered like
+// cells; each element maps system to its measurements.  An unknown cell
+// is an error before anything runs.
+func (s *Suite) RunCells(cells []CellSpec) ([]map[cstar.System]workloads.Result, error) {
+	runs := make([]Run, 0, len(cells)*len(systems))
+	for _, c := range cells {
+		for _, sys := range systems {
+			runs = append(runs, Run{Cell: c, System: sys, Cfg: s.Cfg})
+		}
+	}
+	res, err := s.Exec(runs)
+	if err != nil {
+		return nil, err
+	}
+	return bySystem(res, systems), nil
 }

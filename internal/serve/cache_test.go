@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -141,25 +142,54 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestNormalizeRejectsBadSpecs(t *testing.T) {
-	bad := []JobSpec{
-		{Kind: "nope"},
-		{Kind: "grid", Cells: []string{"Mandelbrot"}},
-		{Kind: "grid", BlockSize: 48},
-		{Kind: "grid", Scale: -1},
-		{Kind: "grid", Scheduler: "cooperative"},
-		{Kind: "grid", Net: "torus"},
-		{Kind: "grid", FaultPlan: "light"}, // fault plans are faults-only
-		{Kind: "faults", FaultPlan: "nonexistent"},
-		{Kind: "chaos"},    // merged into faults
-		{Kind: "recovery"}, // merged into faults
-		{Kind: "check", Nodes: 9},
-		{Kind: "check", Protocol: "mesi"},
-		{Kind: "grid", KVSkew: -0.5},
+	bad := []struct {
+		sp   JobSpec
+		want string // "" = any error
+	}{
+		{JobSpec{Kind: "nope"}, ""},
+		{JobSpec{Kind: "grid", Cells: []string{"Mandelbrot"}}, ""},
+		{JobSpec{Kind: "grid", BlockSize: 48}, ""},
+		{JobSpec{Kind: "grid", Scale: -1}, ""},
+		{JobSpec{Kind: "grid", Scheduler: "cooperative"}, ""},
+		{JobSpec{Kind: "grid", Net: "torus"}, ""},
+		{JobSpec{Kind: "grid", FaultPlan: "light"}, "field fault_plan"}, // fault plans are faults-only
+		{JobSpec{Kind: "faults", FaultPlan: "nonexistent"}, ""},
+		{JobSpec{Kind: "chaos"}, ""},    // merged into faults
+		{JobSpec{Kind: "recovery"}, ""}, // merged into faults
+		{JobSpec{Kind: "check", Nodes: 9}, ""},
+		{JobSpec{Kind: "check", Protocol: "mesi"}, ""},
+		{JobSpec{Kind: "grid", KVSkew: -0.5}, ""},
+		// Fields a kind never reads would change the cache key without
+		// changing the result.  The net sweep sets P and bandwidth itself.
+		{JobSpec{Kind: "netsweep", P: 4}, "field p"},
+		{JobSpec{Kind: "netsweep", Net: "fattree"}, "field net"},
+		{JobSpec{Kind: "netsweep", Net: "uniform"}, "field net"},
+		{JobSpec{Kind: "netsweep", LinkBW: 16}, "field linkbw"},
+		{JobSpec{Kind: "netsweep", NILat: 200}, "field nilat"},
+		{JobSpec{Kind: "netsweep", Cells: []string{"Threshold"}}, "field cells"},
+		{JobSpec{Kind: "faults", Cells: []string{"Threshold"}}, "field cells"},
+		{JobSpec{Kind: "faults", KVSkew: 1.2}, "field kv_skew"},
+		{JobSpec{Kind: "faults", KVReshard: 2}, "field kv_reshard"},
+		{JobSpec{Kind: "check", P: 4}, "field p"},
+		{JobSpec{Kind: "check", Scale: 16}, "field scale"},
+		{JobSpec{Kind: "check", BlockSize: 64}, "field blocksize"},
+		{JobSpec{Kind: "check", Verify: true}, "field verify"},
+		{JobSpec{Kind: "check", SchedSeed: 3}, "field sched_seed"},
+		{JobSpec{Kind: "check", FaultPlan: "light"}, "field fault_plan"},
+		{JobSpec{Kind: "grid", Seeds: []uint64{1}}, "field seeds"},
+		{JobSpec{Kind: "netsweep", Seeds: []uint64{1}}, "field seeds"},
+		{JobSpec{Kind: "grid", Protocol: "scc"}, "field protocol"},
+		{JobSpec{Kind: "netsweep", MaxSchedules: 10}, "field max_schedules"},
+		{JobSpec{Kind: "faults", Nodes: 2, Blocks: 2}, "field nodes"},
+		{JobSpec{Kind: "faults", Script: "pingpong"}, "field script"},
 	}
-	for _, sp := range bad {
-		spec := sp
-		if err := spec.Normalize(); err == nil {
-			t.Errorf("Normalize(%+v) accepted a bad spec", sp)
+	for _, tc := range bad {
+		spec := tc.sp
+		err := spec.Normalize()
+		if err == nil {
+			t.Errorf("Normalize(%+v) accepted a bad spec", tc.sp)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Normalize(%+v) = %q, want an error naming %q", tc.sp, err, tc.want)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func buildConfig(sp JobSpec) workloads.Config {
 		Verify:    sp.Verify,
 		SchedSeed: sp.SchedSeed,
 	}
-	if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
+	if (sp.Net != "" && sp.Net != "uniform") || sp.LinkBW != 0 || sp.NILat != 0 {
 		cfg.Net = &net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}
 	}
 	return cfg
@@ -146,6 +146,12 @@ func (s *Server) execute(j *Job) {
 	suite.Scale = sp.Scale
 	suite.KVSkew = sp.KVSkew
 	suite.KVReshard = sp.KVReshard
+	suite.OnProgress = func(p harness.Progress) {
+		j.publish(Event{
+			Event: "cell", Cell: p.Cell, System: p.System,
+			Done: p.Done, Total: p.Total, SimCycles: p.SimCycles,
+		})
+	}
 
 	var body []byte
 	ctype := "application/json"
@@ -155,7 +161,9 @@ func (s *Server) execute(j *Job) {
 	case "grid":
 		body, err = s.runGrid(j, suite, sp)
 	case "netsweep":
-		suite.DefaultNetSweep()
+		if err = suite.DefaultNetSweep(); err != nil {
+			err = fmt.Errorf("failed runs:\n%w", err)
+		}
 		body, ctype = out.Bytes(), "text/plain; charset=utf-8"
 	case "faults":
 		plans, _ := faultPlans(sp.FaultPlan)
@@ -199,12 +207,6 @@ func (s *Server) runGrid(j *Job, suite *harness.Suite, sp JobSpec) ([]byte, erro
 			}
 			cells = append(cells, c)
 		}
-	}
-	suite.OnProgress = func(p harness.Progress) {
-		j.publish(Event{
-			Event: "cell", Cell: p.Cell, System: p.System,
-			Done: p.Done, Total: p.Total, SimCycles: p.SimCycles,
-		})
 	}
 	rows, err := suite.RunCells(cells)
 	if err != nil {

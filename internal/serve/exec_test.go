@@ -125,3 +125,21 @@ func TestNormalizeBoundsChecks(t *testing.T) {
 		t.Errorf("check defaults = %+v, want nodes=2 blocks=2 max_schedules=5000", ok)
 	}
 }
+
+// Normalize defaults only the fields a kind reads: a check job gets no
+// machine defaults, a net sweep no machine size or interconnect, and a
+// fault matrix always verifies.
+func TestNormalizeDefaultsOnlyReadFields(t *testing.T) {
+	if sp := normalized(t, JobSpec{Kind: "check"}); sp.P != 0 || sp.Scale != 0 || sp.Net != "" || sp.Seeds != nil {
+		t.Errorf("check spec gained simulation defaults: %+v", sp)
+	}
+	if sp := normalized(t, JobSpec{Kind: "netsweep"}); sp.P != 0 || sp.Net != "" || sp.Scale != 1 {
+		t.Errorf("netsweep defaults = %+v, want p and net unset, scale 1", sp)
+	}
+	if sp := normalized(t, JobSpec{Kind: "faults"}); !sp.Verify || sp.P != 32 || len(sp.Seeds) != 2 {
+		t.Errorf("faults defaults = %+v, want verify, p=32 and seeds [1 2]", sp)
+	}
+	if sp := normalized(t, JobSpec{Kind: "grid"}); sp.Verify || sp.P != 32 || sp.Net != "uniform" || sp.Seeds != nil {
+		t.Errorf("grid defaults = %+v, want p=32 and net uniform only", sp)
+	}
+}

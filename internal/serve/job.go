@@ -29,7 +29,8 @@ type Event struct {
 	Event string `json:"event"` // queued|started|cell|output|done|failed|cancelled
 	Job   string `json:"job"`
 
-	// Grid cell progress ("cell" events).
+	// Run progress ("cell" events, one per completed run of any
+	// simulation campaign: grid, netsweep or faults).
 	Cell      string `json:"cell,omitempty"`
 	System    string `json:"system,omitempty"`
 	Done      int    `json:"done,omitempty"`

@@ -529,6 +529,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"kind":"grid","surprise":true}`:        "", // unknown fields are errors
 		`not json`:                               "",
 		`{"kind":"grid","par":4}`:                "par was removed",
+		`{"kind":"netsweep","p":4}`:              "field p",
 		`{"kind":"grid"} {"kind":"check"}`:       "trailing data",
 		`{"kind":"grid"}}`:                       "trailing data",
 	} {
@@ -561,19 +562,17 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 func TestNetsweepChaosRecoveryJobs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
-	code, sw := submit(t, ts, JobSpec{Kind: "netsweep", P: 4, Scale: 64})
+	code, sw := submit(t, ts, JobSpec{Kind: "netsweep", Scale: 64})
 	if code != http.StatusAccepted {
 		t.Fatalf("netsweep submit = %d, want 202", code)
 	}
 	evs := progress(t, ts, sw.ID)
-	outputs := 0
-	for _, ev := range evs {
-		if ev.Event == "output" {
-			outputs++
-		}
-	}
-	if outputs == 0 {
+	if n := countEvents(evs, "output"); n == 0 {
 		t.Errorf("netsweep produced no output events; harness lines not mirrored")
+	}
+	// Two sweeps of 3 P x 3 bandwidths x 2 systems, one cell event per run.
+	if n := countEvents(evs, "cell"); n != 36 {
+		t.Errorf("netsweep produced %d cell events, want 36", n)
 	}
 	code, hdr, body := result(t, ts, sw.ID)
 	if code != http.StatusOK {
@@ -591,7 +590,10 @@ func TestNetsweepChaosRecoveryJobs(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("faults %s submit = %d, want 202", plan, code)
 		}
-		progress(t, ts, fj.ID)
+		// 4 cells x 3 systems x (baseline + one seed + its replay).
+		if n := countEvents(progress(t, ts, fj.ID), "cell"); n != 36 {
+			t.Errorf("faults %s produced %d cell events, want 36", plan, n)
+		}
 		_, _, body = result(t, ts, fj.ID)
 		var v struct {
 			Schema string   `json:"schema"`
@@ -604,6 +606,39 @@ func TestNetsweepChaosRecoveryJobs(t *testing.T) {
 		if v.Schema != "lcmd-faults/1" || !v.OK || len(v.Plans) != 1 || v.Plans[0] != plan {
 			t.Errorf("faults verdict = %+v, want passing lcmd-faults/1 for plan %s", v, plan)
 		}
+	}
+}
+
+// countEvents counts the events of one kind in a progress stream.
+func countEvents(evs []Event, kind string) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Event == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// A net sweep with failed runs fails its job instead of caching a table
+// of zero-cycle rows: at 512-byte blocks every LCM-mcc run fails.
+func TestFailedNetsweepNotCached(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	sp := JobSpec{Kind: "netsweep", Scale: 64, BlockSize: 512}
+	code, sr := submit(t, ts, sp)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	evs := progress(t, ts, sr.ID)
+	last := evs[len(evs)-1]
+	if last.Event != "failed" || !strings.Contains(last.Error, "block size 512 exceeds 256 bytes") {
+		t.Fatalf("terminal event = %+v, want failed with the config error", last)
+	}
+	if code, _, body := result(t, ts, sr.ID); code != http.StatusGone {
+		t.Fatalf("failed netsweep result = %d %.200s, want 410", code, body)
+	}
+	if code, sr2 := submit(t, ts, sp); code != http.StatusAccepted || sr2.Cache != "miss" {
+		t.Errorf("resubmit after failure = %d %+v, want 202 miss", code, sr2)
 	}
 }
 

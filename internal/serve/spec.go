@@ -18,6 +18,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 
 	"lcm/internal/cost"
 	"lcm/internal/harness"
@@ -99,23 +102,67 @@ type JobSpec struct {
 // rendering changes meaning so stale entries cannot be served.
 const specSchema = "lcmd/1"
 
-// validKinds lists the campaigns the server runs.
-var validKinds = map[string]bool{
-	"grid": true, "netsweep": true, "faults": true, "check": true,
+// kindReads lists, by JSON name, the optional fields each kind reads.
+// Normalize refuses any other field that is set: it would change the
+// cache key without changing the result.  kind, scheduler and par are
+// read for every kind.
+var kindReads = map[string][]string{
+	"grid":     {"cells", "p", "scale", "blocksize", "verify", "net", "linkbw", "nilat", "sched_seed", "kv_skew", "kv_reshard"},
+	"netsweep": {"scale", "blocksize", "verify", "sched_seed", "kv_skew", "kv_reshard"},
+	"faults":   {"p", "scale", "blocksize", "verify", "net", "linkbw", "nilat", "sched_seed", "fault_plan", "seeds"},
+	"check":    {"protocol", "nodes", "blocks", "script", "max_schedules"},
 }
 
-// Normalize applies defaults and validates the spec in place, so that
+// unreadField returns the JSON name of the first field sp sets that its
+// kind does not read, or "".
+func (sp *JobSpec) unreadField() string {
+	v := reflect.ValueOf(*sp)
+	for i := 0; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		f := v.Field(i)
+		switch {
+		case name == "kind" || name == "scheduler" || name == "par":
+		case f.IsZero() || f.Kind() == reflect.Slice && f.Len() == 0:
+		case !slices.Contains(kindReads[sp.Kind], name):
+			return name
+		}
+	}
+	return ""
+}
+
+// Normalize validates the spec and applies defaults in place, so that
 // every field of the result is the value the run will actually use (and
-// the cache key is canonical).  It returns an error suitable for a 400
-// response.
+// the cache key is canonical).  A field the kind does not read is
+// refused, and only the fields it reads are defaulted.  It returns an
+// error suitable for a 400 response.
 func (sp *JobSpec) Normalize() error {
-	if !validKinds[sp.Kind] {
+	reads, ok := kindReads[sp.Kind]
+	if !ok {
 		return fmt.Errorf("unknown kind %q (want grid, netsweep, faults or check)", sp.Kind)
 	}
-	if sp.P == 0 {
+	switch sp.Scheduler {
+	case "":
+		sp.Scheduler = "det"
+	case "det":
+	case "freerun":
+		return fmt.Errorf("scheduler freerun was removed: every run uses the deterministic scheduler (det)")
+	default:
+		return fmt.Errorf("scheduler must be det, got %q", sp.Scheduler)
+	}
+	if sp.Par != 0 {
+		return fmt.Errorf("par was removed: every run uses the serial deterministic scheduler, got par=%d", sp.Par)
+	}
+	if f := sp.unreadField(); f != "" {
+		return fmt.Errorf("%s jobs do not read field %s", sp.Kind, f)
+	}
+	if sp.Kind == "check" {
+		return sp.normalizeCheck()
+	}
+
+	if slices.Contains(reads, "p") && sp.P == 0 {
 		sp.P = 32
 	}
-	if sp.P < 1 {
+	if sp.P < 0 {
 		return fmt.Errorf("p must be >= 1, got %d", sp.P)
 	}
 	if sp.Scale == 0 {
@@ -127,69 +174,56 @@ func (sp *JobSpec) Normalize() error {
 	if sp.BlockSize != 0 && (sp.BlockSize < 8 || sp.BlockSize&(sp.BlockSize-1) != 0) {
 		return fmt.Errorf("blocksize must be a power of two >= 8, got %d", sp.BlockSize)
 	}
-	switch sp.Scheduler {
-	case "":
-		sp.Scheduler = "det"
-	case "det":
-	case "freerun":
-		return fmt.Errorf("scheduler freerun was removed: every run uses the deterministic scheduler (det)")
-	default:
-		return fmt.Errorf("scheduler must be det, got %q", sp.Scheduler)
-	}
-	if sp.Net == "" {
-		sp.Net = "uniform"
-	}
-	if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
-		cfg := net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}
-		if _, err := net.New(cfg, sp.P, cost.Default()); err != nil {
-			return err
+	if slices.Contains(reads, "net") {
+		if sp.Net == "" {
+			sp.Net = "uniform"
 		}
-	}
-	if sp.Par != 0 {
-		return fmt.Errorf("par was removed: every run uses the serial deterministic scheduler, got par=%d", sp.Par)
+		if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
+			cfg := net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}
+			if _, err := net.New(cfg, sp.P, cost.Default()); err != nil {
+				return err
+			}
+		}
 	}
 	if sp.KVSkew < 0 {
 		return fmt.Errorf("kv_skew must be >= 0, got %v", sp.KVSkew)
 	}
-
 	for _, name := range sp.Cells {
 		if _, err := harness.ParseCell(name); err != nil {
 			return err
 		}
 	}
-	switch sp.Kind {
-	case "grid", "netsweep":
-		if sp.FaultPlan != "" {
-			return fmt.Errorf("fault_plan applies only to faults jobs")
-		}
-	case "faults":
+	if sp.Kind == "faults" {
 		if _, err := faultPlans(sp.FaultPlan); err != nil {
 			return err
 		}
 		if len(sp.Seeds) == 0 {
 			sp.Seeds = []uint64{1, 2}
 		}
-	case "check":
-		if sp.Nodes == 0 {
-			sp.Nodes = 2
-		}
-		if sp.Nodes < 2 || sp.Nodes > 3 {
-			return fmt.Errorf("nodes must be 2 or 3, got %d", sp.Nodes)
-		}
-		if sp.Blocks == 0 {
-			sp.Blocks = 2
-		}
-		if sp.Blocks < 2 || sp.Blocks > 4 {
-			return fmt.Errorf("blocks must be 2-4, got %d", sp.Blocks)
-		}
-		if sp.MaxSchedules == 0 {
-			sp.MaxSchedules = 5000
-		}
-		if _, err := checkSystems(sp.Protocol); err != nil {
-			return err
-		}
+		sp.Verify = true // the matrix verifies every run
 	}
 	return nil
+}
+
+// normalizeCheck validates and defaults the model-checker tuple.
+func (sp *JobSpec) normalizeCheck() error {
+	if sp.Nodes == 0 {
+		sp.Nodes = 2
+	}
+	if sp.Nodes < 2 || sp.Nodes > 3 {
+		return fmt.Errorf("nodes must be 2 or 3, got %d", sp.Nodes)
+	}
+	if sp.Blocks == 0 {
+		sp.Blocks = 2
+	}
+	if sp.Blocks < 2 || sp.Blocks > 4 {
+		return fmt.Errorf("blocks must be 2-4, got %d", sp.Blocks)
+	}
+	if sp.MaxSchedules == 0 {
+		sp.MaxSchedules = 5000
+	}
+	_, err := checkSystems(sp.Protocol)
+	return err
 }
 
 // CacheKey returns the content address of the spec's result: the SHA-256
